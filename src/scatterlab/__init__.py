@@ -25,6 +25,7 @@ from .commutators import (
 from .errors import (
     BoundaryBreachError,
     BoundaryConcentrationError,
+    ChecksSkippedError,
     ClusterError,
     ConfigError,
     GridError,

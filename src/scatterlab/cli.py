@@ -1,11 +1,13 @@
 """Command-line front end: INI configs, experiment orchestration, manifests.
 
-Usage: ``scatter <experiment> --config <file> [--out <dir>] [--seed N]
-[--threads N]``.  Exit codes: 0 success, 1 runtime failure, 2 validation
-failure.  The environment variable SCATTER_THREADS supplies the default
-thread count.  Every run writes its CSV artifacts plus a manifest listing
-inputs, outputs with checksums, wall time, and the property the experiment
-probes; identical (config, seed) pairs produce byte-identical CSVs.
+Usage: ``scatter <experiment> --config <file> [--out <dir>] [--seed N]``;
+``verify-all`` needs no config and accepts ``--fast``.  Exit codes: 0
+success, 1 runtime failure (including a failed acceptance check), 2
+validation failure, 3 an acceptance check was skipped because its
+preconditions failed (and none failed).  Every run writes its CSV artifacts
+plus a manifest listing inputs, outputs with checksums, wall time, and the
+property the experiment probes; identical (config, seed) pairs produce
+byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import experiments as xp
 from . import io as sio
 from .clusters import ClusterId, TWO_CLUSTERS
-from .errors import ConfigError, ScatterError
+from .errors import ChecksSkippedError, ConfigError, ScatterError
 from .lattice import make_grid, gaussian_packet, write_wavefunction
 from .model import ThreeBodyModel
 from .operators import PotentialSpec
@@ -36,7 +38,8 @@ from .propagation import (
 )
 from .commutators import mourre_report
 from .partition import build_partition, verify_partition, DEFAULT_SMOOTHING_WIDTH
-from .spectral import dense_spectrum, dispersion_scan, iterative_lowest, threshold_table
+from .spectral import (DENSE_LIMIT, dense_spectrum, dispersion_scan, iterative_lowest,
+                       threshold_table)
 
 EXPERIMENTS = ("spectrum", "dispersion", "thresholds", "mourre", "partition",
                "evolve", "local-decay", "min-velocity", "channels", "verify-all")
@@ -56,7 +59,7 @@ CLAIMS = {
 
 # allowed keys per config section
 _SCHEMA = {
-    "experiment": {"name", "seed", "threads"},
+    "experiment": {"name", "seed"},
     "model": {f"{p}_{f}" for p in ("v12", "v13", "v23")
               for f in ("family", "strength", "width", "center")},
     "grid": {"particles", "points", "half_extent"},
@@ -165,8 +168,11 @@ def _out_path(out_dir, experiment, tag, suffix):
     return os.path.join(out_dir, f"{experiment}-{tag}.{suffix}")
 
 
-def run_experiment(experiment: str, cp, seed: int, out_dir: str, threads: int = 1):
-    """Execute one experiment; returns the list of files written."""
+def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = False):
+    """Execute one experiment; returns the list of files written.
+
+    ``fast`` makes ``verify-all`` run the quick deterministic subset.
+    """
     os.makedirs(out_dir, exist_ok=True)
     tag = hashlib.sha256(
         (serialize_config(cp) + f"|seed={seed}|{experiment}").encode()
@@ -190,7 +196,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, threads: int = 
         count = _get(cp, "window", "count", int, default=6) if cp.has_section("window") else 6
         for a in TWO_CLUSTERS:
             h = model.subsystem(a)
-            res = (dense_spectrum(h, grid, count) if grid.size <= 4096
+            res = (dense_spectrum(h, grid, count) if grid.size <= DENSE_LIMIT
                    else iterative_lowest(h, grid, count))
             rows = [(j, lam, r) for j, (lam, r) in
                     enumerate(zip(res.eigenvalues, res.residuals))]
@@ -212,7 +218,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, threads: int = 
         _require_section(cp, "dispersion")
         svals = _float_list(_get(cp, "dispersion", "s_values", str, required=True))
         tol = _get(cp, "dispersion", "tol", float, default=1e-8)
-        curve = dispersion_scan(model, grid, svals, tol=tol, threads=threads)
+        curve = dispersion_scan(model, grid, svals, tol=tol)
         rows = [(s, l, l - s * s, r, bool(f)) for s, l, r, f in
                 zip(curve.s_values, curve.lambdas, curve.residuals, curve.flagged)]
         sio.write_csv(out(""), ("s", "lambda", "lambda_minus_s2", "residual", "flagged"),
@@ -330,13 +336,19 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, threads: int = 
                           {**series.metadata, "seed": seed, "experiment": experiment})
 
     elif experiment == "verify-all":
-        results = xp.verify_all(seed=seed, out_dir=out_dir, fast=False)
-        rows = [(r.name, "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL"),
-                 r.runtime) for r in results]
-        sio.write_csv(out("summary"), ("check", "status", "runtime_s"), rows)
+        results = xp.verify_all(seed=seed, out_dir=out_dir, fast=fast)
+        rows = [(r.name, "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL"))
+                for r in results]
+        sio.write_csv(out("summary"), ("check", "status"), rows)
+        # run times differ run to run, so they stay out of the byte-identical CSV
+        sio.write_sidecar(out("summary", "txt"),
+                          {f"{r.name}.runtime_s": r.runtime for r in results})
         failed = [r.name for r in results if not r.passed and not r.skipped]
+        skipped = [r.name for r in results if r.skipped]
         if failed:
             status = "failed: " + ", ".join(failed)
+        elif skipped:
+            status = "skipped: " + ", ".join(skipped)
     else:
         raise ConfigError(f"unknown experiment {experiment!r}")
 
@@ -344,8 +356,10 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, threads: int = 
     manifest = _out_path(out_dir, experiment, tag, "manifest.txt")
     sio.write_manifest(manifest, experiment, CLAIMS[experiment],
                        {"seed": seed, "config_sha": tag}, files, wall, status)
-    if experiment == "verify-all" and status.startswith("failed"):
+    if status.startswith("failed"):
         raise ScatterError(status)
+    if status.startswith("skipped"):
+        raise ChecksSkippedError(status)
     return files
 
 
@@ -359,24 +373,15 @@ def main(argv=None) -> int:
                         help="INI config; optional for verify-all")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SCATTER_THREADS", "1")))
     parser.add_argument("--fast", action="store_true",
                         help="verify-all only: run the quick deterministic subset")
     args = parser.parse_args(argv)
 
     try:
-        if args.experiment == "verify-all" and args.config is None:
-            seed = args.seed if args.seed is not None else xp.DEFAULT_SEED
-            out_dir = args.out or "out"
-            os.makedirs(out_dir, exist_ok=True)
-            results = xp.verify_all(seed=seed, out_dir=out_dir, fast=args.fast)
-            failed = [r for r in results if not r.passed and not r.skipped]
-            return 1 if failed else 0
-        if args.config is None:
+        if args.config is None and args.experiment != "verify-all":
             print("error: --config is required", file=sys.stderr)
             return 2
-        cp = _parse_ini(args.config)
+        cp = _parse_ini(args.config) if args.config else configparser.ConfigParser()
         seed = args.seed if args.seed is not None else _get(
             cp, "experiment", "seed", int, default=xp.DEFAULT_SEED)
         out_dir = args.out or (
@@ -387,11 +392,14 @@ def main(argv=None) -> int:
         if name != args.experiment:
             raise ConfigError(
                 f"config names experiment {name!r} but {args.experiment!r} was requested")
-        run_experiment(args.experiment, cp, seed, out_dir, threads=args.threads)
+        run_experiment(args.experiment, cp, seed, out_dir, fast=args.fast)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ChecksSkippedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ScatterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,6 @@ from .errors import (
     ClusterError,
     HypothesisError,
     QuadratureError,
-    SpectralWindowError,
 )
 from .lattice import GridSpec, WaveFunction, random_state
 from .model import ThreeBodyModel
@@ -346,7 +345,6 @@ def mourre_report(E: float, window: tuple[float, float], model: ThreeBodyModel,
                   sharpness: int | None = None,
                   deflation_count: int = 24,
                   boundary_tol: float = 1e-3,
-                  threads: int = 1,
                   hamiltonian: HamiltonianSpec | None = None) -> MourreReport:
     """Sample <psi, [H, iA] psi> over filtered random states near energy E.
 
@@ -362,9 +360,7 @@ def mourre_report(E: float, window: tuple[float, float], model: ThreeBodyModel,
         raise HypothesisError("E must lie inside the window")
     if table.is_threshold(E):
         raise HypothesisError(f"E = {E} is a threshold; the estimate needs E nonthreshold")
-    for tau in table.thresholds:
-        if e_lo <= tau <= e_hi:
-            raise SpectralWindowError(f"window ({e_lo}, {e_hi}) contains the threshold {tau}")
+    table.require_clear((e_lo, e_hi))
     gap = distance_to_threshold(E, table)
     if max(E - e_lo, e_hi - E) > gap / 2.0 + 1e-12:
         raise HypothesisError(
@@ -395,13 +391,7 @@ def mourre_report(E: float, window: tuple[float, float], model: ThreeBodyModel,
         return (unit.boundary_mass(0.8),
                 commutator_form(unit, ham, conjugate, boundary_tol=boundary_tol))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one_sample, range(samples)))
-    else:
-        outcomes = [one_sample(i) for i in range(samples)]
+    outcomes = [one_sample(i) for i in range(samples)]
     masses = [m for out in outcomes if out is not None for m in [out[0]]]
     forms = [f for out in outcomes if out is not None for f in [out[1]]]
     if not forms:

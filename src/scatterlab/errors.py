@@ -49,6 +49,10 @@ class BoundaryBreachError(ScatterError):
         self.partial_traces = partial_traces
 
 
+class ChecksSkippedError(ScatterError):
+    """Acceptance checks were skipped because their preconditions failed."""
+
+
 class HypothesisError(ScatterError):
     """A dynamical estimate was requested outside its hypotheses."""
 

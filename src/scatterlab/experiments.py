@@ -123,10 +123,7 @@ def admissible_random_state(grid: GridSpec, rng: np.random.Generator,
     for kc, K in zip(centers, kmesh):
         mask = mask * np.exp(-((K - kc) ** 2) / (2.0 * mask_sigma ** 2))
     shaped = np.fft.ifftn(mask * np.fft.fftn(noise))
-    r2 = np.zeros(grid.shape)
-    for X in grid.position_mesh():
-        r2 = r2 + X ** 2
-    shaped = shaped * np.exp(-r2 / (2.0 * envelope_sigma ** 2))
+    shaped = shaped * np.exp(-grid.radius_sq() / (2.0 * envelope_sigma ** 2))
     return WaveFunction(grid, shaped).normalized()
 
 

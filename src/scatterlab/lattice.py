@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,6 +95,22 @@ class GridSpec:
         k = self.momenta()
         return tuple(np.meshgrid(*([k] * self.axes), indexing="ij"))
 
+    def radius_sq(self) -> np.ndarray:
+        """Squared distance from the origin, summed axis by axis."""
+        r2 = np.zeros(self.shape)
+        for X in self.position_mesh():
+            r2 = r2 + X ** 2
+        return r2
+
+    @lru_cache(maxsize=8)
+    def shell_mask(self, fraction: float) -> np.ndarray:
+        """Read-only mask of the sites where some ``|x_j| > fraction*L`` (cached)."""
+        shell = np.zeros(self.shape, dtype=bool)
+        for X in self.position_mesh():
+            shell |= np.abs(X) > fraction * self.half_extent
+        shell.setflags(write=False)
+        return shell
+
     def wrap(self, u: np.ndarray) -> np.ndarray:
         """Minimal-image wrap of a coordinate difference into ``[-L, L)``."""
         L = self.half_extent
@@ -155,14 +172,10 @@ class WaveFunction:
 
     def boundary_mass(self, fraction: float = 0.8) -> float:
         """Fraction of the squared norm where some ``|x_j| > fraction*L``."""
-        mesh = self.grid.position_mesh()
-        outside = np.zeros(self.grid.shape, dtype=bool)
-        for X in mesh:
-            outside |= np.abs(X) > fraction * self.grid.half_extent
         total = np.sum(np.abs(self.values) ** 2)
         if total == 0.0:
             return 0.0
-        return float(np.sum(np.abs(self.values[outside]) ** 2) / total)
+        return float(np.sum(np.abs(self.values[self.grid.shell_mask(fraction)]) ** 2) / total)
 
 
 def fourier(wf: WaveFunction) -> np.ndarray:
@@ -196,11 +209,8 @@ def random_state(grid: GridSpec, rng: np.random.Generator,
     if envelope_sigma is None:
         envelope_sigma = grid.half_extent / 6.0
     noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    mesh = grid.position_mesh()
-    r2 = np.zeros(grid.shape)
-    for X in mesh:
-        r2 = r2 + X ** 2
-    return WaveFunction(grid, noise * np.exp(-r2 / (2.0 * envelope_sigma ** 2))).normalized()
+    envelope = np.exp(-grid.radius_sq() / (2.0 * envelope_sigma ** 2))
+    return WaveFunction(grid, noise * envelope).normalized()
 
 
 def write_wavefunction(path, wf: WaveFunction) -> None:

@@ -9,7 +9,7 @@ one-particle grid ("internal").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -108,8 +108,8 @@ class PotentialSpec:
     strength: float = 0.0
     width: float = 1.0
     center: float = 0.0
-    value_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
-    derivative_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
+    value_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    derivative_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.family not in ("zero", "poschl_teller", "gaussian_well", "tabulated"):

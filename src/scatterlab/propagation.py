@@ -10,7 +10,6 @@ filtering, and smoothed position cutoffs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -95,33 +94,58 @@ class _Stepper:
         return self.half_v * out
 
 
-@lru_cache(maxsize=8)
-def _shell_mask(grid: GridSpec) -> np.ndarray:
-    mesh = grid.position_mesh()
-    shell = np.zeros(grid.shape, dtype=bool)
-    for X in mesh:
-        shell |= np.abs(X) > BOUNDARY_SHELL_FRACTION * grid.half_extent
-    shell.setflags(write=False)
-    return shell
-
-
-def _boundary_mass(grid: GridSpec, values: np.ndarray, reference: float) -> float:
-    """Shell mass relative to the run's initial squared norm.
-
-    Relative to the initial norm, not the current one, so that runs on
-    near-annihilated states (empty spectral windows) do not trip on their own
-    roundoff-level ripple.
-    """
-    if reference == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(values[_shell_mask(grid)]) ** 2) / reference)
-
-
 def _steps_for(duration: float, dt: float) -> int:
     steps = int(round(duration / dt))
     if abs(steps * dt - duration) > 1e-9 * max(1.0, abs(duration)):
         raise GridError(f"duration {duration} is not a multiple of dt = {dt}")
     return steps
+
+
+def _sampled_blocks(steps: int, steps_per_sample: int, dt: float) -> list[tuple[int, float]]:
+    """``(steps, t)`` blocks of ``steps_per_sample`` steps; the last may be shorter."""
+    ends = [*range(steps_per_sample, steps, steps_per_sample), steps] if steps else []
+    return [(end - start, end * dt) for start, end in zip([0] + ends, ends)]
+
+
+def _march(values: np.ndarray, stepper: _Stepper, blocks, boundary_limit: float,
+           sample, reference: float | None = None) -> np.ndarray:
+    """Step through ``(steps, t)`` blocks; returns the final amplitudes.
+
+    After each block ``sample(t, values)`` runs, then the breach guard raises
+    :class:`BoundaryBreachError` if the mass in the outer tenth of the box
+    exceeds ``boundary_limit`` times ``reference``.  ``reference`` is a
+    squared-norm scale, by default the initial state's: relative to the
+    initial norm, not the current one, so that runs on near-annihilated
+    states (empty spectral windows) do not trip on their own roundoff-level
+    ripple.  Experiment-level callers pass the overall experiment scale so
+    that low-norm channel slivers are judged by what they contribute, not by
+    their own size.
+    """
+    shell = stepper.grid.shell_mask(BOUNDARY_SHELL_FRACTION)
+    if reference is None:
+        reference = float(np.sum(np.abs(values) ** 2))
+    for steps, t in blocks:
+        for _ in range(steps):
+            values = stepper.step(values)
+        sample(t, values)
+        bmass = float(np.sum(np.abs(values[shell]) ** 2) / reference) if reference else 0.0
+        if bmass > boundary_limit:
+            raise BoundaryBreachError(
+                f"boundary mass {bmass:.3e} exceeded {boundary_limit:.1e} at t = {t}",
+                time=t,
+            )
+    return values
+
+
+def _snapshots(values: np.ndarray, stepper: _Stepper, start: float, times,
+               boundary_limit: float, reference: float | None = None) -> dict:
+    """States at the (monotone) ``times``, marching from ``start``; the stepper's dt is signed."""
+    ends = list(times)
+    blocks = [(_steps_for(abs(end - t), abs(stepper.dt)), end)
+              for t, end in zip([start] + ends, ends)]
+    snaps = {}
+    _march(values, stepper, blocks, boundary_limit, snaps.__setitem__, reference)
+    return snaps
 
 
 def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
@@ -141,10 +165,11 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
     steps = _steps_for(T, prop.dt)
     mesh = grid.position_mesh()
 
-    times = [0.0]
+    times = []
     records: dict[str, list[float]] = {name: [] for name in observables}
 
-    def record(values):
+    def record(t, values):
+        times.append(t)
         nsq = grid.measure * np.sum(np.abs(values) ** 2)
         for name in observables:
             if name == "norm":
@@ -159,64 +184,23 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
             else:
                 raise GridError(f"unknown observable {name!r}")
 
-    values = wf.values.copy()
-    reference = float(np.sum(np.abs(values) ** 2))
-    record(values)
-    done = 0
-    while done < steps:
-        block = min(prop.steps_per_sample, steps - done)
-        for _ in range(block):
-            values = stepper.step(values)
-        done += block
-        t = done * prop.dt
-        times.append(t)
-        record(values)
-        bmass = _boundary_mass(grid, values, reference)
-        if bmass > boundary_limit:
-            partial = {
-                name: TraceSeries(np.array(times), np.array(vals), name)
-                for name, vals in records.items()
-            }
-            raise BoundaryBreachError(
-                f"boundary mass {bmass:.3e} exceeded {boundary_limit:.1e} at t = {t}",
-                time=t, partial_traces=partial,
-            )
+    record(0.0, wf.values)
+    try:
+        values = _march(wf.values, stepper,
+                        _sampled_blocks(steps, prop.steps_per_sample, prop.dt),
+                        boundary_limit, record)
+    except BoundaryBreachError as exc:
+        exc.partial_traces = {
+            name: TraceSeries(np.array(times), np.array(vals), name)
+            for name, vals in records.items()
+        }
+        raise
     traces = {
         name: TraceSeries(np.array(times), np.array(vals), name,
                           metadata={"dt": prop.dt, "T": T})
         for name, vals in records.items()
     }
     return WaveFunction(grid, values), traces
-
-
-def _evolve_with_snapshots(values: np.ndarray, ham: HamiltonianSpec, grid: GridSpec,
-                           dt: float, start: float, snap_times, boundary_limit: float,
-                           reference: float | None = None):
-    """March from ``start`` through the (monotone) snapshot times; dt signed.
-
-    ``reference`` sets the squared-norm scale the breach guard compares
-    against; it defaults to the state's own, but experiment-level callers
-    pass the overall experiment scale so that low-norm channel slivers are
-    judged by what they contribute, not by their own size.
-    """
-    stepper = _Stepper(ham, grid, dt)
-    out = {}
-    t = start
-    if reference is None:
-        reference = float(np.sum(np.abs(values) ** 2))
-    for target in snap_times:
-        steps = _steps_for(abs(target - t), abs(dt))
-        for _ in range(steps):
-            values = stepper.step(values)
-        t = target
-        bmass = _boundary_mass(grid, values, reference)
-        if bmass > boundary_limit:
-            raise BoundaryBreachError(
-                f"boundary mass {bmass:.3e} exceeded {boundary_limit:.1e} at t = {t}",
-                time=t,
-            )
-        out[target] = values.copy()
-    return out
 
 
 @dataclass(frozen=True)
@@ -252,20 +236,12 @@ def smoothed_step_below(u: np.ndarray, threshold: float, scale: float) -> np.nda
     return 0.5 * (1.0 - np.tanh((u - threshold) / scale))
 
 
-def _radius_sq(grid: GridSpec) -> np.ndarray:
-    mesh = grid.position_mesh()
-    r2 = np.zeros(grid.shape)
-    for X in mesh:
-        r2 = r2 + X ** 2
-    return r2
-
-
 def shrinking_region_field(grid: GridSpec, t: float, delta: float, eps: float,
                            smoothing_fraction: float = 0.1) -> np.ndarray:
     """F(X^2 / t^(2-eps) < delta) as a multiplication field, t >= 1."""
     if t < 1.0:
         raise HypothesisError("the shrinking-region cutoffs are defined for t >= 1")
-    u = _radius_sq(grid) / t ** (2.0 - eps)
+    u = grid.radius_sq() / t ** (2.0 - eps)
     return smoothed_step_below(u, delta, smoothing_fraction * delta)
 
 
@@ -301,22 +277,6 @@ def channel_cutoff(a: ClusterId, t: float, cutoffs: CutoffSpec, grid: GridSpec,
     return smoothed_step_below(u, dp, cutoffs.smoothing_fraction * dp)
 
 
-def _check_window(window, table: ThresholdTable | None, known_eigenvalues,
-                  allow_eigenvalues: bool):
-    e_lo, e_hi = window
-    if table is not None:
-        for tau in table.thresholds:
-            if e_lo <= tau <= e_hi:
-                raise SpectralWindowError(
-                    f"window ({e_lo}, {e_hi}) contains the threshold {tau}")
-    if not allow_eigenvalues:
-        for lam in known_eigenvalues:
-            if e_lo <= lam <= e_hi:
-                raise SpectralWindowError(
-                    f"window ({e_lo}, {e_hi}) contains the eigenvalue {lam:.6f}; "
-                    "local decay needs a window in the continuous spectrum")
-
-
 def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: float,
                       T: float, dt: float, table: ThresholdTable | None = None,
                       known_eigenvalues=(), allow_eigenvalues: bool = False,
@@ -333,7 +293,14 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
     """
     if not mu > 0.5:
         raise HypothesisError("local decay weight needs mu > 1/2")
-    _check_window(window, table, known_eigenvalues, allow_eigenvalues)
+    if table is not None:
+        table.require_clear(window)
+    if not allow_eigenvalues:
+        for lam in known_eigenvalues:
+            if window[0] <= lam <= window[1]:
+                raise SpectralWindowError(
+                    f"window {tuple(window)} contains the eigenvalue {lam:.6f}; "
+                    "local decay needs a window in the continuous spectrum")
     grid = psi0.grid
     psi = spectral_filter(psi0, ham, window, sharpness=sharpness,
                           target_ripple=filter_ripple,
@@ -343,30 +310,20 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
         raise SpectralWindowError("filtered state vanished; window misses the spectrum")
     psi = psi.scaled(1.0 / nrm)
 
-    weight_sq = (1.0 + _radius_sq(grid)) ** (-mu)
+    weight_sq = (1.0 + grid.radius_sq()) ** (-mu)
     steps_per_sample = max(1, int(round(sample_interval / dt)))
     stepper = _Stepper(ham, grid, dt)
     steps = _steps_for(T, dt)
 
-    values = psi.values.copy()
-    reference = float(np.sum(np.abs(values) ** 2))
-    times = [0.0]
-    w = [float(grid.measure * np.sum(weight_sq * np.abs(values) ** 2))]
-    done = 0
-    while done < steps:
-        block = min(steps_per_sample, steps - done)
-        for _ in range(block):
-            values = stepper.step(values)
-        done += block
-        t = done * dt
-        bmass = _boundary_mass(grid, values, reference)
-        if bmass > boundary_limit:
-            raise BoundaryBreachError(
-                f"boundary mass {bmass:.3e} exceeded {boundary_limit:.1e} at t = {t}",
-                time=t,
-            )
+    times, w = [], []
+
+    def sample(t, values):
         times.append(t)
         w.append(float(grid.measure * np.sum(weight_sq * np.abs(values) ** 2)))
+
+    sample(0.0, psi.values)
+    _march(psi.values, stepper, _sampled_blocks(steps, steps_per_sample, dt),
+           boundary_limit, sample)
     times = np.array(times)
     w = np.array(w)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(times))])
@@ -406,8 +363,8 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
     sample_times = [1.0]
     while sample_times[-1] + sample_interval <= T + 1e-9:
         sample_times.append(round(sample_times[-1] + sample_interval, 9))
-    snaps = _evolve_with_snapshots(psi.values.copy(), ham, grid, dt, 0.0, sample_times,
-                                   boundary_limit=boundary_limit)
+    snaps = _snapshots(psi.values, _Stepper(ham, grid, dt), 0.0, sample_times,
+                       boundary_limit)
     times, vals = [], []
     for t in sample_times:
         F = shrinking_region_field(grid, t, cutoffs.delta, cutoffs.eps,
@@ -437,10 +394,7 @@ def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
     if not window[1] < 0:
         raise SpectralWindowError("the channel construction runs at negative energies")
     if table is not None:
-        for tau in table.thresholds:
-            if window[0] <= tau <= window[1]:
-                raise SpectralWindowError(
-                    f"window {tuple(window)} contains the threshold {tau}")
+        table.require_clear(window)
     grid = psi0.grid
     ham_full = model.full()
     psi = spectral_filter(psi0, ham_full, window, sharpness=sharpness,
@@ -450,12 +404,11 @@ def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
         # the window misses the spectrum; the approximant is the (ripple-level)
         # filtered state itself and evolving it would only propagate roundoff
         return psi
-    forward = _evolve_with_snapshots(psi.values.copy(), ham_full, grid, dt, 0.0, [t],
-                                     boundary_limit=boundary_limit)
+    forward = _snapshots(psi.values, _Stepper(ham_full, grid, dt), 0.0, [t], boundary_limit)
     scale = float(np.sum(np.abs(psi.values) ** 2))
     cut = channel_cutoff(a, t, cutoffs, grid, convention=convention) * forward[t]
-    back = _evolve_with_snapshots(cut, model.truncated(a), grid, -dt, t, [0.0],
-                                  boundary_limit=boundary_limit, reference=scale)
+    back = _snapshots(cut, _Stepper(model.truncated(a), grid, -dt), t, [0.0], boundary_limit,
+                      reference=scale)
     return WaveFunction(grid, back[0.0])
 
 
@@ -511,10 +464,7 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
     if not window[1] < 0:
         raise SpectralWindowError("the completeness experiment runs at negative energies")
     if table is not None:
-        for tau in table.thresholds:
-            if window[0] <= tau <= window[1]:
-                raise SpectralWindowError(
-                    f"window {tuple(window)} contains the threshold {tau}")
+        table.require_clear(window)
     grid = psi0.grid
     ham_full = model.full()
     t_ref = schedule[-1]
@@ -531,8 +481,8 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
                            metadata={"filtered_norm": filtered_norm,
                                      "window": tuple(window), "dt": dt})
 
-    forward = _evolve_with_snapshots(psi.values.copy(), ham_full, grid, dt, 0.0,
-                                     schedule, boundary_limit=boundary_limit)
+    forward = _snapshots(psi.values, _Stepper(ham_full, grid, dt), 0.0, schedule,
+                         boundary_limit)
     scale = float(np.sum(np.abs(psi.values) ** 2))
     channel_norms = {}
     channel_paths = {}
@@ -543,11 +493,8 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
         # marching backward through the schedule gives e^{-i tau H_a} phi_a
         # directly; off-channel slivers are tiny, so the breach guard runs
         # against the filtered state's scale rather than each sliver's own
-        back_targets = list(reversed(schedule))
-        channel_paths[a] = _evolve_with_snapshots(g, model.truncated(a), grid, -dt,
-                                                  t_ref, back_targets,
-                                                  boundary_limit=boundary_limit,
-                                                  reference=scale)
+        channel_paths[a] = _snapshots(g, _Stepper(model.truncated(a), grid, -dt), t_ref,
+                                      reversed(schedule), boundary_limit, reference=scale)
     defects = []
     for t in schedule:
         total = np.zeros(grid.shape, dtype=np.complex128)

@@ -276,6 +276,13 @@ class ThresholdTable:
     def is_threshold(self, E: float) -> bool:
         return bool(np.any(np.abs(self.thresholds - E) <= self.match_tol))
 
+    def require_clear(self, window) -> None:
+        """Raise :class:`SpectralWindowError` if the closed window holds a threshold."""
+        e_lo, e_hi = window
+        for tau in self.thresholds:
+            if e_lo <= tau <= e_hi:
+                raise SpectralWindowError(f"window ({e_lo}, {e_hi}) contains the threshold {tau}")
+
 
 def distance_to_threshold(E: float, table: ThresholdTable) -> float:
     """d(E) = min over 2-cluster decompositions of the per-cluster gap."""
@@ -338,14 +345,11 @@ def quadratic_fit(s_values, lambdas) -> np.ndarray:
 
 
 def dispersion_scan(model: ThreeBodyModel, grid: GridSpec, s_values,
-                    tol: float = 1e-8, guard_fraction: float = 0.1,
-                    threads: int = 1) -> DispersionCurve:
+                    tol: float = 1e-8, guard_fraction: float = 0.1) -> DispersionCurve:
     """Scan the pair-cluster fibers and fit lambda(s) against 1, s, s^2.
 
     Fibers whose ground energy comes within ``guard_fraction`` of the
-    closed-form continuum edge are flagged and excluded from the fit.  Fiber
-    solves are independent; ``threads`` > 1 runs them concurrently with a
-    deterministic merge by s order.
+    closed-form continuum edge are flagged and excluded from the fit.
     """
     from .commutators import continuum_edge  # local import to avoid a cycle
 
@@ -364,19 +368,11 @@ def dispersion_scan(model: ThreeBodyModel, grid: GridSpec, s_values,
         return float(res.eigenvalues[0]), float(res.residuals[0])
 
     lam0, _ = solve(0.0)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, s_values))
-    else:
-        solved = [solve(s) for s in s_values]
-    for i, (s, (lam, r)) in enumerate(zip(s_values, solved)):
-        lams[i] = lam
-        resids[i] = r
+    for i, s in enumerate(s_values):
+        lams[i], resids[i] = solve(s)
         edge = continuum_edge(s)
         margin = guard_fraction * max(edge - lam0, 1e-12)
-        if lam > edge - margin:
+        if lams[i] > edge - margin:
             flagged[i] = True
 
     keep = ~flagged

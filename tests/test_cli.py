@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from scatterlab import experiments as xp
 from scatterlab.cli import _parse_ini, main, serialize_config
-from scatterlab.errors import ConfigError
+from scatterlab.errors import ConfigError, HypothesisError
 
 THRESHOLDS_INI = """
 [experiment]
@@ -302,3 +303,43 @@ def test_spectrum_experiment(tmp_path):
     for f in csvs:
         header = (tmp_path / "out" / f).read_text().splitlines()[0]
         assert header == "index,eigenvalue,residual"
+
+
+def _fake_check(name, outcome):
+    def check(seed, out_dir=None):
+        if outcome == "skip":
+            raise HypothesisError("precondition does not hold")
+        return xp.CheckResult(name=name, passed=outcome == "pass", runtime=0.5)
+
+    check.__name__ = f"check_{name}"
+    return check
+
+
+@pytest.mark.parametrize("outcomes, code", [
+    (("pass", "pass"), 0),
+    (("pass", "skip"), 3),
+    (("skip", "fail"), 1),
+])
+def test_verify_all_exit_codes(tmp_path, monkeypatch, outcomes, code):
+    checks = tuple(_fake_check(f"c{i}", o) for i, o in enumerate(outcomes))
+    monkeypatch.setattr(xp, "FAST_CHECKS", checks)
+    out = tmp_path / "out"
+    assert main(["verify-all", "--fast", "--out", str(out)]) == code
+    files = os.listdir(out)
+    summary = [f for f in files if f.endswith("-summary.csv")]
+    rows = (out / summary[0]).read_text().splitlines()
+    assert rows[0] == "check,status"
+    assert [r.split(",")[1] for r in rows[1:]] == [
+        {"pass": "PASS", "skip": "SKIP", "fail": "FAIL"}[o] for o in outcomes]
+    assert any(f.endswith("-summary.txt") for f in files)
+    assert sum(f.endswith(".manifest.txt") for f in files) == 1
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_verify_all_honours_fast(tmp_path, monkeypatch, with_config):
+    monkeypatch.setattr(xp, "FAST_CHECKS", (_fake_check("quick", "pass"),))
+    monkeypatch.setattr(xp, "ALL_CHECKS", (_fake_check("full", "fail"),))
+    argv = ["verify-all", "--fast", "--out", str(tmp_path / "out")]
+    if with_config:
+        argv += ["--config", _write(tmp_path, "[experiment]\nname = verify-all\n")]
+    assert main(argv) == 0

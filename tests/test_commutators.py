@@ -205,14 +205,3 @@ def test_eigenstate_not_deflated_flags_virial():
     res = dense_spectrum(h, grid, 1)
     form = commutator_form(res.eigenvectors[0], h, FULL_A)
     assert abs(form) < 1e-8
-
-
-def test_mourre_report_threads_deterministic():
-    table = ThresholdTable({a: np.array([]) for a in TWO_CLUSTERS})
-    grid = make_grid(2, 64, 32.0)
-    kwargs = dict(E=1.0, window=(0.9, 1.1), model=free_model(), grid=grid,
-                  table=table, samples=4, seed=2, deflation_count=0,
-                  boundary_tol=1.0)
-    one = mourre_report(**kwargs, threads=1)
-    two = mourre_report(**kwargs, threads=3)
-    assert np.array_equal(one.form_values, two.form_values)

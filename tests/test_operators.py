@@ -185,3 +185,17 @@ def test_dilated_potential_evaluates_at_scaled_argument(pot):
     assert np.allclose(d.derivative(u), 2.0 * pot.derivative(2.0 * u), atol=1e-12)
     # u d/du is dilation invariant, so the virial field only moves its argument
     assert np.allclose(d.virial_field(u), pot.virial_field(2.0 * u), atol=1e-12)
+
+
+def test_tabulated_potentials_compare_by_callable():
+    def well(u):
+        return -np.exp(-u ** 2)
+
+    def deeper(u):
+        return -2.0 * np.exp(-u ** 2)
+
+    a = PotentialSpec("tabulated", 1.0, value_fn=well)
+    b = PotentialSpec("tabulated", 1.0, value_fn=deeper)
+    assert a != b
+    assert len({a, b}) == 2
+    assert a == PotentialSpec("tabulated", 1.0, value_fn=well)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from scatterlab.clusters import ClusterId
-from scatterlab.errors import BoundaryBreachError, GridError, HypothesisError
+from scatterlab.clusters import TWO_CLUSTERS, ClusterId
+from scatterlab.commutators import mourre_report
+from scatterlab.errors import (
+    BoundaryBreachError,
+    GridError,
+    HypothesisError,
+    SpectralWindowError,
+)
 from scatterlab.lattice import gaussian_packet, make_grid
 from scatterlab.model import default_model, free_model
 from scatterlab.operators import (
@@ -24,6 +30,7 @@ from scatterlab.propagation import (
     shrinking_region_field,
     wave_operator_approx,
 )
+from scatterlab.spectral import ThresholdTable
 
 
 def test_norm_conservation():
@@ -77,6 +84,8 @@ def test_boundary_breach_carries_partial_trace():
     assert err.value.time is not None
     assert "norm" in err.value.partial_traces
     assert err.value.partial_traces["norm"].times[-1] <= 10.0
+    # the sample that breached is the last one on the partial trace
+    assert err.value.partial_traces["norm"].times[-1] == err.value.time
 
 
 def test_trace_series_validation():
@@ -222,3 +231,55 @@ def test_wave_operator_stabilization_trace():
                                   dt=0.05, table=table, filter_transition=0.25,
                                   boundary_limit=1e-3)
     assert np.all(np.diff(series.values) < 0)
+
+
+@pytest.mark.parametrize("caller", ["mourre_report", "local_decay_trace",
+                                    "wave_operator_approx", "completeness_defect"])
+def test_every_window_caller_rejects_a_threshold(caller):
+    table = ThresholdTable({a: np.array([-0.5]) for a in TWO_CLUSTERS})
+    window = (-0.6, -0.3)              # holds -0.5; E = -0.4 is no threshold
+    grid1, grid2 = make_grid(1, 64, 16.0), make_grid(2, 32, 16.0)
+    psi1 = gaussian_packet(grid1, 0.0, 0.5, 2.0)
+    psi2 = gaussian_packet(grid2, 0.0, (0.5, 0.5), 2.0)
+    h1 = HamiltonianSpec(quadratic_symbol(1.0), ((poschl_teller(2.0, 1.0), "internal"),))
+    model = default_model()
+    cut = CutoffSpec(delta=0.2, eps=0.05)
+    calls = {
+        "mourre_report": lambda: mourre_report(-0.4, window, model, grid2, table, samples=1),
+        "local_decay_trace": lambda: local_decay_trace(psi1, h1, window, mu=0.6, T=1.0,
+                                                       dt=0.05, table=table),
+        "wave_operator_approx": lambda: wave_operator_approx(
+            ClusterId.PHOTON_FREE, psi2, model, window, cut, t=2.0, dt=0.05, table=table),
+        "completeness_defect": lambda: completeness_defect(
+            psi2, model, window, cut, (2.0, 4.0), dt=0.05, table=table),
+    }
+    with pytest.raises(SpectralWindowError, match="contains the threshold -0.5"):
+        calls[caller]()
+
+
+def test_require_clear_treats_the_window_as_closed():
+    table = ThresholdTable({a: np.array([-0.5]) for a in TWO_CLUSTERS})
+    table.require_clear((-0.45, -0.1))
+    for window in ((-0.5, -0.4), (-0.7, -0.5), (-0.1, 0.0)):
+        with pytest.raises(SpectralWindowError):
+            table.require_clear(window)
+
+
+@pytest.mark.parametrize("caller", ["evolve", "local_decay_trace", "minimal_velocity_trace"])
+def test_every_stepping_caller_stops_at_the_boundary(caller):
+    # a fast packet in a small box reaches the outer tenth within a few steps
+    h = HamiltonianSpec(quadratic_symbol(1.0), ())
+    grid1 = make_grid(1, 128, 8.0)
+    psi1 = gaussian_packet(grid1, 0.0, 2.0, 1.0)
+    runs = {
+        "evolve": lambda: evolve(psi1, PropagatorSpec(h, dt=0.05), T=10.0),
+        "local_decay_trace": lambda: local_decay_trace(psi1, h, (1.0, 8.0), mu=0.6,
+                                                       T=10.0, dt=0.05),
+        "minimal_velocity_trace": lambda: minimal_velocity_trace(
+            gaussian_packet(make_grid(2, 64, 8.0), 0.0, (2.0, 2.0), 1.0),
+            HamiltonianSpec(free_symbol(), ()), (0.5, 1.5), CutoffSpec(delta=0.2, eps=0.1),
+            T=10.0, dt=0.05, theta=0.5, skip_filter=True),
+    }
+    with pytest.raises(BoundaryBreachError) as err:
+        runs[caller]()
+    assert 0.0 < err.value.time < 10.0

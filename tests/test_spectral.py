@@ -270,11 +270,3 @@ def test_dispersion_scan_flags_fiber_near_edge():
     big = np.abs(curve.s_values) > 1.0
     assert curve.flagged[big].all()
     assert not curve.flagged[~big].any()
-
-
-def test_dispersion_scan_threads_deterministic():
-    model = default_model()
-    grid = make_grid(1, 256, 16.0)
-    one = dispersion_scan(model, grid, (0.0, 0.1, -0.1), tol=1e-7, threads=1)
-    two = dispersion_scan(model, grid, (0.0, 0.1, -0.1), tol=1e-7, threads=3)
-    assert np.array_equal(one.lambdas, two.lambdas)
