@@ -382,8 +382,7 @@ def mourre_report(E: float, window: tuple[float, float], model: ThreeBodyModel,
         rng = np.random.default_rng(derive_seed(seed, i))
         psi = random_state(grid, rng, envelope_sigma=grid.half_extent / 8.0)
         filtered = spectral_filter(psi, ham, (e_lo, e_hi), sharpness=sharpness)
-        if deflators:
-            filtered = deflate_against(filtered, deflators)
+        filtered = deflate_against(filtered, deflators)
         nrm = filtered.norm()
         if nrm < 1e-9:
             return None

@@ -1,10 +1,12 @@
-"""Dispersion symbols, decaying potential families, and Hamiltonian application.
+"""Dispersion symbols, decaying potential families, and the grid operator.
 
 A Hamiltonian is a Fourier multiplier (the dispersion symbol, a real function
 of the momentum lattice) plus a sum of position-space potentials, each tagged
 with the coordinate it acts on: the first particle ("x"), the second ("y"),
 their difference ("x-y", minimal-image wrapped), or the single axis of a
-one-particle grid ("internal").
+one-particle grid ("internal").  :class:`GridOperator` is the one place where
+a Hamiltonian's symbol and potential fields are built on a grid; every solver
+route applies H through it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridError, PotentialError
-from .lattice import GridSpec, WaveFunction, fourier, inverse_fourier
+from .lattice import GridSpec, WaveFunction
 
 COORDINATE_TAGS = ("x", "y", "x-y", "internal")
 
@@ -267,30 +269,45 @@ def potential_field(grid: GridSpec, ham: HamiltonianSpec) -> np.ndarray:
     return out
 
 
+class GridOperator:
+    """H = m(P) + V on one grid, with the read-only fields ``symbol`` (m on the
+    momentum lattice) and ``potential`` (V on the position lattice) built once.
+
+    :meth:`apply` takes one state of ``grid.shape`` or a stack ``(k, *grid.shape)``.
+    """
+
+    def __init__(self, ham: HamiltonianSpec, grid: GridSpec):
+        ham.validate_for(grid)
+        self.grid = grid
+        self.symbol, self.potential = ham.symbol.on_grid(grid), potential_field(grid, ham)
+        for field in (self.symbol, self.potential):
+            field.setflags(write=False)
+        self._axes = tuple(range(-grid.axes, 0))
+        self._has_potential = bool(np.any(self.potential))
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """``m(P)`` by unitary FFTs over the trailing grid axes, plus ``V`` pointwise."""
+        out = np.fft.ifftn(self.symbol * np.fft.fftn(values, axes=self._axes, norm="ortho"),
+                           axes=self._axes, norm="ortho")
+        if self._has_potential:
+            out = out + self.potential * values
+        return out
+
+    def bounds(self) -> tuple[float, float]:
+        """Crude two-sided bound on the spectrum of the grid operator."""
+        return (float(self.symbol.min() + self.potential.min()),
+                float(self.symbol.max() + self.potential.max()))
+
+
 def apply_multiplier(wf: WaveFunction, symbol: DispersionSymbol) -> WaveFunction:
     """Apply ``m(P)`` spectrally; exact on the discrete lattice."""
-    if symbol.max_axis() >= wf.grid.axes:
-        raise GridError("dispersion symbol incompatible with grid dimensionality")
-    m = symbol.on_grid(wf.grid)
-    return inverse_fourier(wf.grid, m * fourier(wf))
+    return apply_hamiltonian(wf, HamiltonianSpec(symbol))
 
 
 def apply_hamiltonian(wf: WaveFunction, ham: HamiltonianSpec) -> WaveFunction:
-    ham.validate_for(wf.grid)
-    out = apply_multiplier(wf, ham.symbol)
-    v = potential_field(wf.grid, ham)
-    if np.any(v):
-        out = WaveFunction(wf.grid, out.values + v * wf.values)
-    return out
+    return WaveFunction(wf.grid, GridOperator(ham, wf.grid).apply(wf.values))
 
 
 def expectation(wf: WaveFunction, ham: HamiltonianSpec) -> float:
     """Real part of <psi, H psi>; imaginary part is a roundoff check elsewhere."""
     return wf.inner(apply_hamiltonian(wf, ham)).real
-
-
-def symbol_range(grid: GridSpec, ham: HamiltonianSpec) -> tuple[float, float]:
-    """Crude two-sided bound on the spectrum of the grid operator."""
-    m = ham.symbol.on_grid(grid)
-    v = potential_field(grid, ham)
-    return float(m.min() + v.min()), float(m.max() + v.max())

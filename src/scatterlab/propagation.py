@@ -17,7 +17,7 @@ from .clusters import ClusterId, require_two_cluster
 from .errors import BoundaryBreachError, GridError, HypothesisError, SpectralWindowError
 from .lattice import GridSpec, WaveFunction
 from .model import ThreeBodyModel
-from .operators import HamiltonianSpec, apply_hamiltonian, potential_field
+from .operators import GridOperator, HamiltonianSpec
 from .spectral import ThresholdTable, deflate_against, spectral_filter
 
 BOUNDARY_SHELL_FRACTION = 0.9
@@ -74,19 +74,16 @@ class PropagatorSpec:
 
 
 class _Stepper:
-    """Cached split-step phases for one (Hamiltonian, grid, dt) triple.
+    """Cached split-step phases of one grid operator for one dt.
 
     dt may be negative, which evolves backward in time.
     """
 
-    def __init__(self, ham: HamiltonianSpec, grid: GridSpec, dt: float):
-        ham.validate_for(grid)
-        self.grid = grid
+    def __init__(self, op: GridOperator, dt: float):
+        self.grid = op.grid
         self.dt = dt
-        m = ham.symbol.on_grid(grid)
-        v = potential_field(grid, ham)
-        self.half_v = np.exp(-0.5j * dt * v)
-        self.kinetic = np.exp(-1j * dt * m)
+        self.half_v = np.exp(-0.5j * dt * op.potential)
+        self.kinetic = np.exp(-1j * dt * op.symbol)
 
     def step(self, values: np.ndarray) -> np.ndarray:
         out = self.half_v * values
@@ -161,7 +158,8 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
     exception.
     """
     grid = wf.grid
-    stepper = _Stepper(prop.ham, grid, prop.dt)
+    op = GridOperator(prop.ham, grid)
+    stepper = _Stepper(op, prop.dt)
     steps = _steps_for(T, prop.dt)
     mesh = grid.position_mesh()
 
@@ -175,8 +173,7 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
             if name == "norm":
                 records[name].append(float(np.sqrt(nsq)))
             elif name == "energy":
-                wfv = WaveFunction(grid, values.copy())
-                records[name].append(wfv.inner(apply_hamiltonian(wfv, prop.ham)).real)
+                records[name].append(float((grid.measure * np.vdot(values, op.apply(values))).real))
             elif name.startswith("center"):
                 axis = int(name[len("center"):])
                 num = grid.measure * np.sum(mesh[axis] * np.abs(values) ** 2)
@@ -312,7 +309,7 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
 
     weight_sq = (1.0 + grid.radius_sq()) ** (-mu)
     steps_per_sample = max(1, int(round(sample_interval / dt)))
-    stepper = _Stepper(ham, grid, dt)
+    stepper = _Stepper(GridOperator(ham, grid), dt)
     steps = _steps_for(T, dt)
 
     times, w = [], []
@@ -363,7 +360,7 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
     sample_times = [1.0]
     while sample_times[-1] + sample_interval <= T + 1e-9:
         sample_times.append(round(sample_times[-1] + sample_interval, 9))
-    snaps = _snapshots(psi.values, _Stepper(ham, grid, dt), 0.0, sample_times,
+    snaps = _snapshots(psi.values, _Stepper(GridOperator(ham, grid), dt), 0.0, sample_times,
                        boundary_limit)
     times, vals = [], []
     for t in sample_times:
@@ -404,11 +401,12 @@ def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
         # the window misses the spectrum; the approximant is the (ripple-level)
         # filtered state itself and evolving it would only propagate roundoff
         return psi
-    forward = _snapshots(psi.values, _Stepper(ham_full, grid, dt), 0.0, [t], boundary_limit)
+    forward = _snapshots(psi.values, _Stepper(GridOperator(ham_full, grid), dt), 0.0, [t],
+                         boundary_limit)
     scale = float(np.sum(np.abs(psi.values) ** 2))
     cut = channel_cutoff(a, t, cutoffs, grid, convention=convention) * forward[t]
-    back = _snapshots(cut, _Stepper(model.truncated(a), grid, -dt), t, [0.0], boundary_limit,
-                      reference=scale)
+    back = _snapshots(cut, _Stepper(GridOperator(model.truncated(a), grid), -dt), t, [0.0],
+                      boundary_limit, reference=scale)
     return WaveFunction(grid, back[0.0])
 
 
@@ -472,8 +470,7 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
     psi = spectral_filter(psi0, ham_full, window, sharpness=sharpness,
                           target_ripple=filter_ripple,
                           transition_fraction=filter_transition)
-    if deflate_eigenvectors:
-        psi = deflate_against(psi, deflate_eigenvectors)
+    psi = deflate_against(psi, deflate_eigenvectors)
     filtered_norm = psi.norm()
     if filtered_norm <= 1e-7 * psi0.norm():
         zero_times = np.array(schedule)
@@ -481,7 +478,7 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
                            metadata={"filtered_norm": filtered_norm,
                                      "window": tuple(window), "dt": dt})
 
-    forward = _snapshots(psi.values, _Stepper(ham_full, grid, dt), 0.0, schedule,
+    forward = _snapshots(psi.values, _Stepper(GridOperator(ham_full, grid), dt), 0.0, schedule,
                          boundary_limit)
     scale = float(np.sum(np.abs(psi.values) ** 2))
     channel_norms = {}
@@ -493,8 +490,9 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
         # marching backward through the schedule gives e^{-i tau H_a} phi_a
         # directly; off-channel slivers are tiny, so the breach guard runs
         # against the filtered state's scale rather than each sliver's own
-        channel_paths[a] = _snapshots(g, _Stepper(model.truncated(a), grid, -dt), t_ref,
-                                      reversed(schedule), boundary_limit, reference=scale)
+        channel_paths[a] = _snapshots(g, _Stepper(GridOperator(model.truncated(a), grid), -dt),
+                                      t_ref, reversed(schedule), boundary_limit,
+                                      reference=scale)
     defects = []
     for t in schedule:
         total = np.zeros(grid.shape, dtype=np.complex128)

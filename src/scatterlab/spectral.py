@@ -1,10 +1,11 @@
 """Eigenvalue computation, thresholds, fibered dispersion scans, and filtering.
 
-Three solver routes: a dense oracle (grid operator assembled column by column
-and handed to LAPACK, feasible up to 4096 lattice sites), an imaginary-time
-Rayleigh-quotient descent with deflation, and a Lanczos subspace route via
-scipy for grids past the dense limit.  The dense route is the reference all
-other numbers are checked against.
+Three solver routes: a dense oracle (the grid operator applied to the whole
+identity stack in one batched call and handed to LAPACK, feasible up to 4096
+lattice sites), an imaginary-time Rayleigh-quotient descent with deflation,
+and a Lanczos subspace route via scipy for grids past the dense limit.  The
+dense route is the reference all other numbers are checked against.  Every
+route applies H through one :class:`~scatterlab.operators.GridOperator`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .clusters import ClusterId, TWO_CLUSTERS
 from .errors import SolverError, SpectralWindowError
 from .lattice import GridSpec, WaveFunction, gaussian_packet
 from .model import ThreeBodyModel
-from .operators import HamiltonianSpec, apply_hamiltonian, potential_field, symbol_range
+from .operators import GridOperator, HamiltonianSpec
 
 DENSE_LIMIT = 4096
 
@@ -41,18 +42,33 @@ class EigenResult:
             raise SolverError("eigenvalues not ascending")
 
 
-def _residual(ham: HamiltonianSpec, wf: WaveFunction, lam: float) -> float:
-    h = apply_hamiltonian(wf, ham)
-    return (h - wf.scaled(lam)).norm()
+def project_out(values: np.ndarray, vectors, measure: float) -> np.ndarray:
+    """Remove, one after another, the components along orthonormal WaveFunctions."""
+    for other in vectors:
+        values = values - other.values * (measure * np.vdot(other.values, values))
+    return values
+
+
+def _eigen_result(op: GridOperator, evals: np.ndarray, evecs: np.ndarray, columns,
+                  method: str, tol: float) -> EigenResult:
+    """Eigenpairs from the unit ``columns`` of ``evecs``, with ||H psi - lambda psi||."""
+    # one apply per vector: a stacked apply holds several copies of a 2D Lanczos stack
+    grid = op.grid
+    scale = 1.0 / np.sqrt(grid.measure)  # unit columns -> unit grid norm
+    vectors = tuple(WaveFunction(grid, evecs[:, j].reshape(grid.shape) * scale) for j in columns)
+    residuals = np.array([WaveFunction(grid, op.apply(v.values) - lam * v.values).norm()
+                          for v, lam in zip(vectors, evals)])
+    return EigenResult(evals, vectors, residuals, method=method, tol=tol)
 
 
 def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenResult:
     """Lowest ``count`` eigenpairs of the exact grid operator.
 
-    The matrix is assembled by applying the Hamiltonian to every lattice basis
-    vector, then symmetrized against roundoff and diagonalized.
+    The matrix is assembled in one batched apply of the Hamiltonian to the
+    stack of all lattice basis vectors, then symmetrized against roundoff and
+    diagonalized.
     """
-    ham.validate_for(grid)
+    op = GridOperator(ham, grid)
     n = grid.size
     if n > DENSE_LIMIT:
         raise SolverError(
@@ -61,63 +77,38 @@ def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenRes
         )
     if not 1 <= count <= n:
         raise SolverError(f"count must be in [1, {n}]")
-    mat = np.empty((n, n), dtype=np.complex128)
-    basis = np.zeros(grid.shape, dtype=np.complex128)
-    flat = basis.reshape(-1)
-    for j in range(n):
-        flat[j] = 1.0
-        col = apply_hamiltonian(WaveFunction(grid, basis.copy()), ham)
-        mat[:, j] = col.values.reshape(-1)
-        flat[j] = 0.0
+    # row j of the applied identity stack is column j of the matrix
+    mat = op.apply(np.eye(n, dtype=np.complex128).reshape(n, *grid.shape)).reshape(n, n).T
     mat = (mat + mat.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(mat)
-    evals = evals[:count]
-    scale = 1.0 / np.sqrt(grid.measure)  # unit columns -> unit grid norm
-    vectors = tuple(
-        WaveFunction(grid, evecs[:, j].reshape(grid.shape) * scale) for j in range(count)
-    )
-    residuals = np.array([_residual(ham, v, lam) for v, lam in zip(vectors, evals)])
-    return EigenResult(evals, vectors, residuals, method="dense", tol=1e-9)
-
-
-def _as_linear_operator(ham: HamiltonianSpec, grid: GridSpec) -> LinearOperator:
-    def matvec(v):
-        wf = WaveFunction(grid, np.asarray(v, dtype=np.complex128).reshape(grid.shape))
-        return apply_hamiltonian(wf, ham).values.reshape(-1)
-
-    return LinearOperator((grid.size, grid.size), matvec=matvec, dtype=np.complex128)
+    return _eigen_result(op, evals[:count], evecs, range(count), "dense", 1e-9)
 
 
 def iterative_lowest(ham: HamiltonianSpec, grid: GridSpec, count: int,
                      tol: float = 1e-9, seed: int = 7) -> EigenResult:
     """Lowest eigenpairs via Lanczos on the matrix-free grid operator."""
-    ham.validate_for(grid)
+    op = GridOperator(ham, grid)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(grid.size)
-    evals, evecs = eigsh(_as_linear_operator(ham, grid), k=count, which="SA",
-                         tol=tol, v0=v0, maxiter=5000)
+    lin_op = LinearOperator((grid.size, grid.size), dtype=np.complex128,
+                            matvec=lambda v: op.apply(v.reshape(grid.shape)).reshape(-1))
+    evals, evecs = eigsh(lin_op, k=count, which="SA", tol=tol, v0=v0, maxiter=5000)
     order = np.argsort(evals)
-    evals = evals[order]
-    scale = 1.0 / np.sqrt(grid.measure)
-    vectors = tuple(
-        WaveFunction(grid, evecs[:, j].reshape(grid.shape) * scale) for j in order
-    )
-    residuals = np.array([_residual(ham, v, lam) for v, lam in zip(vectors, evals)])
-    return EigenResult(evals, vectors, residuals, method="iterative-subspace", tol=tol)
+    return _eigen_result(op, evals[order], evecs, order, "iterative-subspace", tol)
 
 
-def _krylov_polish(ham: HamiltonianSpec, grid: GridSpec, vals: np.ndarray,
-                   project, dim: int = 32):
+def _krylov_polish(op: GridOperator, vals: np.ndarray, deflate, dim: int = 32):
     """Rayleigh-Ritz in the Krylov space of the current iterate.
 
     The split flow converges to a dt-dependent fixed point, so its residual
     plateaus; a small subspace solve around the plateau vector removes the
     splitting bias without touching the operator.
     """
+    grid = op.grid
     basis, hbasis = [], []
     w = vals / np.sqrt(grid.measure * np.sum(np.abs(vals) ** 2))
     for _ in range(dim):
-        w = project(w)
+        w = project_out(w, deflate, grid.measure)
         for _pass in range(2):  # reorthogonalize; one pass loses the small components
             for b in basis:
                 w = w - b * (grid.measure * np.vdot(b, w))
@@ -126,7 +117,7 @@ def _krylov_polish(ham: HamiltonianSpec, grid: GridSpec, vals: np.ndarray,
             break
         w = w / nrm
         basis.append(w)
-        w = apply_hamiltonian(WaveFunction(grid, w.copy()), ham).values
+        w = op.apply(w)
         hbasis.append(w)
     if not basis:
         raise SolverError("imaginary-time flow collapsed; all mass deflated away")
@@ -135,7 +126,7 @@ def _krylov_polish(ham: HamiltonianSpec, grid: GridSpec, vals: np.ndarray,
                            @ np.array(hbasis).reshape(len(basis), -1).T)
     hmat = (hmat + hmat.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(hmat)
-    out = project(np.tensordot(evecs[:, 0], basis, axes=1))
+    out = project_out(np.tensordot(evecs[:, 0], basis, axes=1), deflate, grid.measure)
     nrm = np.sqrt(grid.measure * np.sum(np.abs(out) ** 2))
     return out / nrm, float(evals[0])
 
@@ -152,7 +143,7 @@ def ground_state_imag_time(ham: HamiltonianSpec, grid: GridSpec, tol: float = 1e
     iterate.  Orthogonalizing against ``deflate`` after every step reaches
     excited states.  Converged when ||H psi - lambda psi|| <= tol * (1 + |lambda|).
     """
-    ham.validate_for(grid)
+    op = GridOperator(ham, grid)
     if tol <= 0:
         raise SolverError("tol must be positive")
     if initial is None:
@@ -160,40 +151,36 @@ def ground_state_imag_time(ham: HamiltonianSpec, grid: GridSpec, tol: float = 1e
     else:
         psi = initial.normalized()
 
-    m = ham.symbol.on_grid(grid)
-    v = potential_field(grid, ham)
-
-    def project(values):
-        for other in deflate:
-            values = values - other.values * (grid.measure * np.vdot(other.values, values))
-        return values
-
     def residual_of(values):
-        wf = WaveFunction(grid, values.copy())
-        hv = apply_hamiltonian(wf, ham)
-        lam = wf.inner(hv).real
-        return wf, lam, (hv - wf.scaled(lam)).norm()
+        hv = op.apply(values)
+        lam = (grid.measure * np.vdot(values, hv)).real
+        return lam, float(np.sqrt(grid.measure * np.sum(np.abs(hv - lam * values) ** 2)))
+
+    def converged(values, lam, res):
+        return EigenResult(np.array([lam]), (WaveFunction(grid, values),), np.array([res]),
+                           method="imaginary-time", tol=tol)
+
+    def factors(dt):
+        return np.exp(-0.5 * dt * op.potential), np.exp(-dt * op.symbol)
 
     dt = dt0
     best = np.inf
     since_improve = 0
-    vals = project(psi.values.copy())
+    vals = project_out(psi.values, deflate, grid.measure)
     step = 0
+    half, kin = factors(dt)
     while step < max_steps:
-        half = np.exp(-0.5 * dt * v)
-        kin = np.exp(-dt * m)
         for _ in range(10):
             vals = half * np.fft.ifftn(kin * np.fft.fftn(half * vals))
-            vals = project(vals)
+            vals = project_out(vals, deflate, grid.measure)
             nrm = np.sqrt(grid.measure * np.sum(np.abs(vals) ** 2))
             if nrm == 0.0 or not np.isfinite(nrm):
                 raise SolverError("imaginary-time flow collapsed; all mass deflated away")
             vals = vals / nrm
         step += 10
-        wf, lam, res = residual_of(vals)
+        lam, res = residual_of(vals)
         if res <= tol * (1.0 + abs(lam)):
-            return EigenResult(np.array([lam]), (wf,), np.array([res]),
-                               method="imaginary-time", tol=tol)
+            return converged(vals, lam, res)
         if res < 0.98 * best:
             best = res
             since_improve = 0
@@ -205,12 +192,11 @@ def ground_state_imag_time(ham: HamiltonianSpec, grid: GridSpec, tol: float = 1e
         # target is met or the polish itself stalls, then descend with dt/2
         stalled = False
         for _ in range(60):
-            vals, _ = _krylov_polish(ham, grid, vals, project)
+            vals, _ = _krylov_polish(op, vals, deflate)
             prev = res
-            wf, lam, res = residual_of(vals)
+            lam, res = residual_of(vals)
             if res <= tol * (1.0 + abs(lam)):
-                return EigenResult(np.array([lam]), (wf,), np.array([res]),
-                                   method="imaginary-time", tol=tol)
+                return converged(vals, lam, res)
             if res > 0.7 * prev:
                 stalled = True
                 break
@@ -224,6 +210,7 @@ def ground_state_imag_time(ham: HamiltonianSpec, grid: GridSpec, tol: float = 1e
                     f"(target {tol * (1.0 + abs(lam)):.3e})",
                     best_residual=res,
                 )
+            half, kin = factors(dt)
     raise SolverError(
         f"imaginary-time flow did not converge within {max_steps} steps "
         f"(best residual {best:.3e})",
@@ -367,9 +354,9 @@ def dispersion_scan(model: ThreeBodyModel, grid: GridSpec, s_values,
             res = ground_state_imag_time(h, grid, tol=tol)
         return float(res.eigenvalues[0]), float(res.residuals[0])
 
-    lam0, _ = solve(0.0)
+    lam0, res0 = solve(0.0)
     for i, s in enumerate(s_values):
-        lams[i], resids[i] = solve(s)
+        lams[i], resids[i] = (lam0, res0) if s == 0.0 else solve(s)
         edge = continuum_edge(s)
         margin = guard_fraction * max(edge - lam0, 1e-12)
         if lams[i] > edge - margin:
@@ -416,13 +403,13 @@ def chebyshev_window_coefficients(e_lo: float, e_hi: float, width: float,
     return c
 
 
-def _clenshaw_apply(ham: HamiltonianSpec, grid: GridSpec, values: np.ndarray,
-                    coef: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _clenshaw_apply(op: GridOperator, values: np.ndarray, coef: np.ndarray,
+                    lo: float, hi: float) -> np.ndarray:
     center = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
 
     def hop(v):
-        return (apply_hamiltonian(WaveFunction(grid, v), ham).values - center * v) / half
+        return (op.apply(v) - center * v) / half
 
     b1 = np.zeros_like(values)
     b2 = np.zeros_like(values)
@@ -447,8 +434,8 @@ def spectral_filter(wf: WaveFunction, ham: HamiltonianSpec, window: tuple[float,
     e_lo, e_hi = float(window[0]), float(window[1])
     if not e_lo < e_hi:
         raise SpectralWindowError(f"window ({e_lo}, {e_hi}) is empty")
-    ham.validate_for(wf.grid)
-    lo_op, hi_op = symbol_range(wf.grid, ham)
+    op = GridOperator(ham, wf.grid)
+    lo_op, hi_op = op.bounds()
     if e_lo > hi_op:
         raise SpectralWindowError(
             f"window ({e_lo}, {e_hi}) lies above the grid operator range "
@@ -467,11 +454,11 @@ def spectral_filter(wf: WaveFunction, ham: HamiltonianSpec, window: tuple[float,
         if degree < 1:
             raise SpectralWindowError("sharpness must be a positive integer")
     coef = chebyshev_window_coefficients(e_lo, e_hi, width, lo, hi, degree)
-    out_vals = _clenshaw_apply(ham, wf.grid, wf.values, coef, lo, hi)
+    out_vals = _clenshaw_apply(op, wf.values, coef, lo, hi)
     out = WaveFunction(wf.grid, out_vals)
     if not return_info:
         return out
-    twice = _clenshaw_apply(ham, wf.grid, out_vals, coef, lo, hi)
+    twice = _clenshaw_apply(op, out_vals, coef, lo, hi)
     defect = WaveFunction(wf.grid, twice - out_vals).norm()
     info = FilterInfo(degree=degree, bounds=(lo, hi), transition_width=width,
                       idempotence_defect=defect)
@@ -480,10 +467,7 @@ def spectral_filter(wf: WaveFunction, ham: HamiltonianSpec, window: tuple[float,
 
 def deflate_against(wf: WaveFunction, vectors) -> WaveFunction:
     """Remove the components of ``wf`` along the given orthonormal vectors."""
-    vals = wf.values.copy()
-    for other in vectors:
-        vals = vals - other.values * (wf.grid.measure * np.vdot(other.values, vals))
-    return WaveFunction(wf.grid, vals)
+    return WaveFunction(wf.grid, project_out(wf.values, vectors, wf.grid.measure))
 
 
 def localized_eigenvectors(ham: HamiltonianSpec, grid: GridSpec, count: int,

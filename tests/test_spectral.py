@@ -204,6 +204,21 @@ def test_dispersion_scan_structure(grid512):
     assert not curve.flagged.any()
 
 
+def test_dispersion_scan_solves_each_fiber_once(monkeypatch):
+    import scatterlab.spectral as spectral
+
+    calls = []
+
+    def counting(ham, grid, count):
+        calls.append(ham)
+        return dense_spectrum(ham, grid, count)
+
+    monkeypatch.setattr(spectral, "dense_spectrum", counting)
+    dispersion_scan(default_model(), make_grid(1, 128, 16.0), (0.0, 0.1, -0.1))
+    # s = 0 serves both lambda0 and its own fiber
+    assert len(calls) == 3
+
+
 def test_spectral_filter_eigenstate_inside():
     grid = make_grid(1, 128, 16.0)
     h = HamiltonianSpec(quadratic_symbol(1.0), ((poschl_teller(2.0, 1.0), "internal"),))
