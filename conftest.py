@@ -1,11 +1,4 @@
 import os
 import sys
 
-from hypothesis import settings
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "src"))
-
-# reproducible examples and no per-example deadline, so that a loaded shared
-# machine cannot turn a slow example into a failure
-settings.register_profile("tier1", deadline=None, derandomize=True, max_examples=30)
-settings.load_profile("tier1")

@@ -6,7 +6,7 @@ with the coordinate it acts on: the first particle ("x"), the second ("y"),
 their difference ("x-y", minimal-image wrapped), or the single axis of a
 one-particle grid ("internal").  :class:`GridOperator` is the one place where
 a Hamiltonian's symbol and potential fields are built on a grid; every solver
-route applies H through it.
+route applies H through :func:`apply_hamiltonian` with one such operator.
 """
 
 from __future__ import annotations
@@ -304,8 +304,12 @@ def apply_multiplier(wf: WaveFunction, symbol: DispersionSymbol) -> WaveFunction
     return apply_hamiltonian(wf, HamiltonianSpec(symbol))
 
 
-def apply_hamiltonian(wf: WaveFunction, ham: HamiltonianSpec) -> WaveFunction:
-    return WaveFunction(wf.grid, GridOperator(ham, wf.grid).apply(wf.values))
+def apply_hamiltonian(wf: WaveFunction, ham: HamiltonianSpec | GridOperator) -> WaveFunction:
+    """H psi; a :class:`GridOperator` built on ``wf.grid`` lends its fields."""
+    op = ham if isinstance(ham, GridOperator) else GridOperator(ham, wf.grid)
+    if op.grid != wf.grid:
+        raise GridError("grid operator built on a different grid")
+    return WaveFunction(wf.grid, op.apply(wf.values))
 
 
 def expectation(wf: WaveFunction, ham: HamiltonianSpec) -> float:

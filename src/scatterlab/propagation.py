@@ -17,7 +17,7 @@ from .clusters import ClusterId, require_two_cluster
 from .errors import BoundaryBreachError, GridError, HypothesisError, SpectralWindowError
 from .lattice import GridSpec, WaveFunction
 from .model import ThreeBodyModel
-from .operators import GridOperator, HamiltonianSpec
+from .operators import GridOperator, HamiltonianSpec, apply_hamiltonian
 from .spectral import ThresholdTable, deflate_against, spectral_filter
 
 BOUNDARY_SHELL_FRACTION = 0.9
@@ -47,12 +47,6 @@ class TraceSeries:
 
     def final(self) -> float:
         return float(self.values[-1])
-
-    def value_at(self, t: float) -> float:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise GridError(f"time {t} was not sampled")
-        return float(self.values[i])
 
 
 @dataclass(frozen=True)
@@ -173,7 +167,8 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
             if name == "norm":
                 records[name].append(float(np.sqrt(nsq)))
             elif name == "energy":
-                records[name].append(float((grid.measure * np.vdot(values, op.apply(values))).real))
+                wfv = WaveFunction(grid, values)
+                records[name].append(wfv.inner(apply_hamiltonian(wfv, op)).real)
             elif name.startswith("center"):
                 axis = int(name[len("center"):])
                 num = grid.measure * np.sum(mesh[axis] * np.abs(values) ** 2)

@@ -1,11 +1,12 @@
 """Eigenvalue computation, thresholds, fibered dispersion scans, and filtering.
 
-Three solver routes: a dense oracle (the grid operator applied to the whole
-identity stack in one batched call and handed to LAPACK, feasible up to 4096
-lattice sites), an imaginary-time Rayleigh-quotient descent with deflation,
-and a Lanczos subspace route via scipy for grids past the dense limit.  The
-dense route is the reference all other numbers are checked against.  Every
-route applies H through one :class:`~scatterlab.operators.GridOperator`.
+Three solver routes: a dense oracle (grid operator assembled column by column
+and handed to LAPACK, feasible up to 4096 lattice sites), an imaginary-time
+Rayleigh-quotient descent with deflation, and a Lanczos subspace route via
+scipy for grids past the dense limit.  The dense route is the reference all
+other numbers are checked against.  Every route builds one
+:class:`~scatterlab.operators.GridOperator` and applies H through
+:func:`~scatterlab.operators.apply_hamiltonian`, one state per call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .clusters import ClusterId, TWO_CLUSTERS
 from .errors import SolverError, SpectralWindowError
 from .lattice import GridSpec, WaveFunction, gaussian_packet
 from .model import ThreeBodyModel
-from .operators import GridOperator, HamiltonianSpec
+from .operators import GridOperator, HamiltonianSpec, apply_hamiltonian
 
 DENSE_LIMIT = 4096
 
@@ -52,11 +53,10 @@ def project_out(values: np.ndarray, vectors, measure: float) -> np.ndarray:
 def _eigen_result(op: GridOperator, evals: np.ndarray, evecs: np.ndarray, columns,
                   method: str, tol: float) -> EigenResult:
     """Eigenpairs from the unit ``columns`` of ``evecs``, with ||H psi - lambda psi||."""
-    # one apply per vector: a stacked apply holds several copies of a 2D Lanczos stack
     grid = op.grid
     scale = 1.0 / np.sqrt(grid.measure)  # unit columns -> unit grid norm
     vectors = tuple(WaveFunction(grid, evecs[:, j].reshape(grid.shape) * scale) for j in columns)
-    residuals = np.array([WaveFunction(grid, op.apply(v.values) - lam * v.values).norm()
+    residuals = np.array([(apply_hamiltonian(v, op) - v.scaled(lam)).norm()
                           for v, lam in zip(vectors, evals)])
     return EigenResult(evals, vectors, residuals, method=method, tol=tol)
 
@@ -64,9 +64,8 @@ def _eigen_result(op: GridOperator, evals: np.ndarray, evecs: np.ndarray, column
 def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenResult:
     """Lowest ``count`` eigenpairs of the exact grid operator.
 
-    The matrix is assembled in one batched apply of the Hamiltonian to the
-    stack of all lattice basis vectors, then symmetrized against roundoff and
-    diagonalized.
+    The matrix is assembled by applying the Hamiltonian to every lattice basis
+    vector, then symmetrized against roundoff and diagonalized.
     """
     op = GridOperator(ham, grid)
     n = grid.size
@@ -77,8 +76,13 @@ def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenRes
         )
     if not 1 <= count <= n:
         raise SolverError(f"count must be in [1, {n}]")
-    # row j of the applied identity stack is column j of the matrix
-    mat = op.apply(np.eye(n, dtype=np.complex128).reshape(n, *grid.shape)).reshape(n, n).T
+    mat = np.empty((n, n), dtype=np.complex128)
+    basis = np.zeros(n, dtype=np.complex128)
+    for j in range(n):  # WaveFunction freezes a reshaped view, so basis stays writable
+        basis[j] = 1.0
+        column = apply_hamiltonian(WaveFunction(grid, basis.reshape(grid.shape)), op)
+        mat[:, j] = column.values.ravel()
+        basis[j] = 0.0
     mat = (mat + mat.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(mat)
     return _eigen_result(op, evals[:count], evecs, range(count), "dense", 1e-9)
@@ -91,7 +95,8 @@ def iterative_lowest(ham: HamiltonianSpec, grid: GridSpec, count: int,
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(grid.size)
     lin_op = LinearOperator((grid.size, grid.size), dtype=np.complex128,
-                            matvec=lambda v: op.apply(v.reshape(grid.shape)).reshape(-1))
+                            matvec=lambda v: apply_hamiltonian(
+                                WaveFunction(grid, v.reshape(grid.shape)), op).values.reshape(-1))
     evals, evecs = eigsh(lin_op, k=count, which="SA", tol=tol, v0=v0, maxiter=5000)
     order = np.argsort(evals)
     return _eigen_result(op, evals[order], evecs, order, "iterative-subspace", tol)
@@ -117,7 +122,7 @@ def _krylov_polish(op: GridOperator, vals: np.ndarray, deflate, dim: int = 32):
             break
         w = w / nrm
         basis.append(w)
-        w = op.apply(w)
+        w = apply_hamiltonian(WaveFunction(grid, w), op).values
         hbasis.append(w)
     if not basis:
         raise SolverError("imaginary-time flow collapsed; all mass deflated away")
@@ -152,7 +157,7 @@ def ground_state_imag_time(ham: HamiltonianSpec, grid: GridSpec, tol: float = 1e
         psi = initial.normalized()
 
     def residual_of(values):
-        hv = op.apply(values)
+        hv = apply_hamiltonian(WaveFunction(grid, values), op).values
         lam = (grid.measure * np.vdot(values, hv)).real
         return lam, float(np.sqrt(grid.measure * np.sum(np.abs(hv - lam * values) ** 2)))
 
@@ -246,10 +251,6 @@ class ThresholdTable:
         for eigs in self.per_cluster.values():
             vals.extend(np.asarray(eigs).tolist())
         return np.unique(np.array(vals))
-
-    def g_value(self, a: ClusterId) -> float:
-        """G_a = inf of the cluster's thresholds (eigenvalues and zero)."""
-        return float(self.cluster_thresholds(a)[0])
 
     def distance(self, E: float, a: ClusterId) -> float:
         taus = self.cluster_thresholds(a)
@@ -409,7 +410,7 @@ def _clenshaw_apply(op: GridOperator, values: np.ndarray, coef: np.ndarray,
     half = 0.5 * (hi - lo)
 
     def hop(v):
-        return (op.apply(v) - center * v) / half
+        return (apply_hamiltonian(WaveFunction(op.grid, v), op).values - center * v) / half
 
     b1 = np.zeros_like(values)
     b2 = np.zeros_like(values)
