@@ -9,7 +9,7 @@ The commutator positivity constant at energy E degrades exactly like d(E).
 import numpy as np
 
 from scatterlab import TWO_CLUSTERS, default_model, distance_to_threshold, make_grid
-from scatterlab.spectral import threshold_table
+from scatterlab.spectral import GAP_BELOW_THRESHOLDS, threshold_table
 
 model = default_model()
 table = threshold_table(model, make_grid(1, 512, 32.0))
@@ -18,7 +18,7 @@ print("per-cluster negative eigenvalues:")
 for a in TWO_CLUSTERS:
     print(f"  {a}: {np.array2string(table.per_cluster[a], precision=6)}")
 print(f"\nthreshold set: {np.array2string(table.thresholds, precision=6)}")
-print(f"fallback constant b = {table.b}")
+print(f"fallback constant b = {GAP_BELOW_THRESHOLDS}")
 
 print("\n  E        d(E)")
 for E in np.linspace(-1.6, 1.0, 27):

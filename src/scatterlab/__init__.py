@@ -55,7 +55,6 @@ from .operators import (
     apply_multiplier,
     check_boundary_decay,
     constant_symbol,
-    expectation,
     free_symbol,
     gaussian_well,
     poschl_teller,

@@ -64,8 +64,8 @@ _SCHEMA = {
               for f in ("family", "strength", "width", "center")},
     "grid": {"particles", "points", "half_extent"},
     "window": {"lo", "hi", "energy", "mu", "samples", "count", "boundary_tol"},
-    "cutoffs": {"delta", "eps", "mu", "smoothing"},
-    "schedule": {"times", "dt", "horizon", "sample_interval", "boundary_limit"},
+    "cutoffs": {"delta", "eps", "smoothing"},
+    "schedule": {"times", "dt", "horizon", "boundary_limit"},
     "dispersion": {"s_values", "tol"},
     "partition": {"width"},
     "packet": {"center", "momentum", "width", "axis_momenta"},
@@ -149,7 +149,6 @@ def parse_cutoffs(cp) -> CutoffSpec:
     return CutoffSpec(
         delta=_get(cp, "cutoffs", "delta", float, required=True),
         eps=_get(cp, "cutoffs", "eps", float, required=True),
-        mu=_get(cp, "cutoffs", "mu", float, default=0.6),
         smoothing_fraction=_get(cp, "cutoffs", "smoothing", float, default=0.1),
     )
 
@@ -160,8 +159,8 @@ def parse_window(cp):
             _get(cp, "window", "hi", float, required=True))
 
 
-def _table_for(model, points=512, half_extent=32.0):
-    return threshold_table(model, make_grid(1, points, half_extent))
+def _table_for(model):
+    return threshold_table(model, make_grid(1, 512, 32.0))
 
 
 def _out_path(out_dir, experiment, tag, suffix):

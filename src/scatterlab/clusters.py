@@ -35,13 +35,6 @@ _CLUSTER_COUNT = {
     ClusterId.ALL_FREE: 3,
 }
 
-# internal coordinate tag and the potentials inside / between clusters
-INTERNAL_TAG = {
-    ClusterId.PHOTON_FREE: "x",
-    ClusterId.ELECTRON_FREE: "y",
-    ClusterId.PAIR_FREE: "x-y",
-}
-
 # which of (v12, v13, v23) are internal to the clusters of a decomposition
 INTERNAL_POTENTIALS = {
     ClusterId.TOGETHER: ("v12", "v13", "v23"),

@@ -340,18 +340,15 @@ def derive_seed(seed: int, index: int) -> int:
 
 def mourre_report(E: float, window: tuple[float, float], model: ThreeBodyModel,
                   grid: GridSpec, table: ThresholdTable, samples: int = 20,
-                  epsilon: float | None = None, seed: int = 0,
-                  conjugate: ConjugateSpec = FULL_A,
-                  sharpness: int | None = None,
-                  deflation_count: int = 24,
-                  boundary_tol: float = 1e-3,
-                  hamiltonian: HamiltonianSpec | None = None) -> MourreReport:
+                  seed: int = 0, deflation_count: int = 24,
+                  boundary_tol: float = 1e-3) -> MourreReport:
     """Sample <psi, [H, iA] psi> over filtered random states near energy E.
 
     Random states are filtered into the window, the localized (bound-state
-    like) eigenvectors of H inside the window are projected out, and the
-    commutator form of each unit-norm survivor is compared against the
-    predicted bound d(E) - epsilon.
+    like) eigenvectors of ``model.full()`` inside the window are projected
+    out, and the commutator form with the full dilation generator A of each
+    unit-norm survivor is compared against the predicted bound
+    d(E) - epsilon, epsilon = d(E)/10.
     """
     if samples < 1:
         raise HypothesisError("samples must be >= 1")
@@ -366,11 +363,8 @@ def mourre_report(E: float, window: tuple[float, float], model: ThreeBodyModel,
         raise HypothesisError(
             f"window must stay within d(E)/2 = {gap / 2.0:.4g} of E"
         )
-    if epsilon is None:
-        epsilon = 0.1 * gap
-    if not 0.0 < epsilon:
-        raise HypothesisError("epsilon must be positive")
-    ham = hamiltonian if hamiltonian is not None else model.full()
+    epsilon = 0.1 * gap
+    ham = model.full()
     bound = gap - epsilon
 
     eig_in_window = localized_eigenvectors(
@@ -381,14 +375,14 @@ def mourre_report(E: float, window: tuple[float, float], model: ThreeBodyModel,
     def one_sample(i: int):
         rng = np.random.default_rng(derive_seed(seed, i))
         psi = random_state(grid, rng, envelope_sigma=grid.half_extent / 8.0)
-        filtered = spectral_filter(psi, ham, (e_lo, e_hi), sharpness=sharpness)
+        filtered = spectral_filter(psi, ham, (e_lo, e_hi))
         filtered = deflate_against(filtered, deflators)
         nrm = filtered.norm()
         if nrm < 1e-9:
             return None
         unit = filtered.scaled(1.0 / nrm)
         return (unit.boundary_mass(0.8),
-                commutator_form(unit, ham, conjugate, boundary_tol=boundary_tol))
+                commutator_form(unit, ham, boundary_tol=boundary_tol))
 
     outcomes = [one_sample(i) for i in range(samples)]
     masses = [m for out in outcomes if out is not None for m in [out[0]]]

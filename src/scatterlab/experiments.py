@@ -105,25 +105,23 @@ def _maybe_csv(out_dir, name, header, rows):
 
 
 def admissible_random_state(grid: GridSpec, rng: np.random.Generator,
-                            momentum_centers, mask_sigma: float = 0.2,
-                            envelope_sigma: float | None = None) -> WaveFunction:
+                            momentum_centers) -> WaveFunction:
     """Random state that the lattice represents faithfully.
 
-    Noise is shaped in momentum space by Gaussian masks centered away from
-    the symbol kinks (|k| = 0) and from the Nyquist fold, then enveloped in
-    position away from the box edge.  Both lattice seams then carry
-    exponentially small mass, which the commutator identities require.
+    Noise is shaped in momentum space by Gaussian masks of width 0.2 centered
+    away from the symbol kinks (|k| = 0) and from the Nyquist fold, then
+    enveloped in position by a Gaussian of width L/8, away from the box edge.
+    Both lattice seams then carry exponentially small mass, which the
+    commutator identities require.
     """
-    if envelope_sigma is None:
-        envelope_sigma = grid.half_extent / 8.0
     centers = np.atleast_1d(np.asarray(momentum_centers, dtype=float))
     noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     kmesh = grid.momentum_mesh()
     mask = np.ones(grid.shape)
     for kc, K in zip(centers, kmesh):
-        mask = mask * np.exp(-((K - kc) ** 2) / (2.0 * mask_sigma ** 2))
+        mask = mask * np.exp(-((K - kc) ** 2) / (2.0 * 0.2 ** 2))
     shaped = np.fft.ifftn(mask * np.fft.fftn(noise))
-    shaped = shaped * np.exp(-grid.radius_sq() / (2.0 * envelope_sigma ** 2))
+    shaped = shaped * np.exp(-grid.radius_sq() / (2.0 * (grid.half_extent / 8.0) ** 2))
     return WaveFunction(grid, shaped).normalized()
 
 
@@ -142,21 +140,22 @@ def bound_ground_1d(model: ThreeBodyModel, cluster: ClusterId, n: int, L: float)
 # check 1: closed-form fibered continuum edge vs brute-force minimization
 # ---------------------------------------------------------------------------
 
-def brute_force_edge(s: float, coarse: int = 400_000, fine: int = 400_000) -> float:
+def brute_force_edge(s: float) -> float:
     """Two-stage grid minimization of (1/4)(q+s)^2 + (1/2)|q-s|.
 
     The minimum sits at a kink for |s| <= 1/2, so a single pass cannot reach
-    1e-6; the second pass zooms into the coarse argmin.
+    1e-6; the second pass zooms into the coarse argmin.  Each pass samples
+    400000 points.
     """
     lo, hi = -abs(s) - 1.5, abs(s) + 1.5
 
     def symbol(q):
         return 0.25 * (q + s) ** 2 + 0.5 * np.abs(q - s)
 
-    q = np.linspace(lo, hi, coarse)
+    q = np.linspace(lo, hi, 400_000)
     i = int(np.argmin(symbol(q)))
     step = q[1] - q[0]
-    q2 = np.linspace(q[i] - 2 * step, q[i] + 2 * step, fine)
+    q2 = np.linspace(q[i] - 2 * step, q[i] + 2 * step, 400_000)
     return float(np.min(symbol(q2)))
 
 
@@ -358,8 +357,7 @@ def _fibered_external_constant(a: ClusterId, s: float) -> float:
     return 0.0
 
 
-def check_commutator_paths(seed: int = DEFAULT_SEED, out_dir=None,
-                           states_per_formula: int = 100) -> CheckResult:
+def check_commutator_paths(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
     t0 = time.perf_counter()
     model = default_model()
     grid1 = make_grid(1, 256, 32.0)
@@ -391,7 +389,7 @@ def check_commutator_paths(seed: int = DEFAULT_SEED, out_dir=None,
 
     h_free = HamiltonianSpec(free_symbol(), ())
     h_full = model.full()
-    for i in range(states_per_formula):
+    for _ in range(100):  # states per formula
         kc_p = rng.uniform(1.0, 2.0) * rng.choice((-1.0, 1.0))
         kc_k = rng.uniform(2.0, 2.5) * rng.choice((-1.0, 1.0))
         psi2 = admissible_random_state(grid2, rng, (kc_p, kc_k))
@@ -429,8 +427,7 @@ def free_threshold_table() -> ThresholdTable:
     return ThresholdTable({a: np.array([]) for a in TWO_CLUSTERS})
 
 
-def check_free_positivity(seed: int = DEFAULT_SEED, out_dir=None,
-                          samples: int = 50) -> CheckResult:
+def check_free_positivity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
     # the window is 0.2 wide, so filtered states carry spatial coherence of
     # order 1/0.1 = 10s of length units; the box must dominate that scale or
     # the lattice virial identity (exact box eigenvectors have vanishing
@@ -439,7 +436,7 @@ def check_free_positivity(seed: int = DEFAULT_SEED, out_dir=None,
     grid = make_grid(2, 128, 64.0)
     report = mourre_report(
         E=1.0, window=(0.9, 1.1), model=free_model(), grid=grid,
-        table=free_threshold_table(), samples=samples,
+        table=free_threshold_table(), samples=50,
         seed=_seed_for(seed, "free-positivity"), deflation_count=0,
         boundary_tol=5e-2,
     )
@@ -462,8 +459,7 @@ def check_free_positivity(seed: int = DEFAULT_SEED, out_dir=None,
 # check 8: interacting positivity report at negative nonthreshold energy
 # ---------------------------------------------------------------------------
 
-def check_interacting_positivity(seed: int = DEFAULT_SEED, out_dir=None,
-                                 samples: int = 24) -> CheckResult:
+def check_interacting_positivity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
     t0 = time.perf_counter()
     model = default_model()
     table = threshold_table(model, make_grid(1, 512, 32.0))
@@ -473,7 +469,7 @@ def check_interacting_positivity(seed: int = DEFAULT_SEED, out_dir=None,
     # = 0.336, and the half-width 0.15 stays within d(E)/2
     report = mourre_report(
         E=-0.3, window=(-0.45, -0.15), model=model, grid=grid, table=table,
-        samples=samples, seed=_seed_for(seed, "interacting-positivity"),
+        samples=24, seed=_seed_for(seed, "interacting-positivity"),
         deflation_count=40, boundary_tol=5e-2,
     )
     rows = [(i, f, report.bound, f - report.bound, report.deflated_count)

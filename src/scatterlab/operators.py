@@ -299,6 +299,25 @@ class GridOperator:
                 float(self.symbol.max() + self.potential.max()))
 
 
+class _Stepper:
+    """Cached Strang factors exp(-z V/2) and exp(-z m(P)) of one grid operator.
+
+    ``z = i dt`` steps the Schroedinger flow (``-i dt`` steps backward); a real
+    ``z = dt`` steps the imaginary-time flow.
+    """
+
+    def __init__(self, op: GridOperator, z: complex):
+        self.grid = op.grid
+        self.z = z
+        self.half_v = np.exp(-0.5 * z * op.potential)
+        self.kinetic = np.exp(-z * op.symbol)
+
+    def step(self, values: np.ndarray) -> np.ndarray:
+        out = self.half_v * values
+        out = np.fft.ifftn(self.kinetic * np.fft.fftn(out))
+        return self.half_v * out
+
+
 def apply_multiplier(wf: WaveFunction, symbol: DispersionSymbol) -> WaveFunction:
     """Apply ``m(P)`` spectrally; exact on the discrete lattice."""
     return apply_hamiltonian(wf, HamiltonianSpec(symbol))
@@ -310,8 +329,3 @@ def apply_hamiltonian(wf: WaveFunction, ham: HamiltonianSpec | GridOperator) -> 
     if op.grid != wf.grid:
         raise GridError("grid operator built on a different grid")
     return WaveFunction(wf.grid, op.apply(wf.values))
-
-
-def expectation(wf: WaveFunction, ham: HamiltonianSpec) -> float:
-    """Real part of <psi, H psi>; imaginary part is a roundoff check elsewhere."""
-    return wf.inner(apply_hamiltonian(wf, ham)).real

@@ -10,7 +10,7 @@ form with two continuous derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,11 +64,9 @@ def _bump(a: ClusterId, xhat, yhat, width: float):
 
 @dataclass(frozen=True)
 class PartitionSet:
-    """The five members j_a with their smoothing width and support constants."""
+    """The five members j_a with their smoothing width."""
 
     width: float
-    inner_radius: float = 1.0
-    support_constants: dict = field(default_factory=lambda: dict(SUPPORT_CONSTANTS))
 
     def _angular(self, xhat, yhat):
         bumps = {a: _bump(a, xhat, yhat, self.width) for a in _MOVING}
@@ -98,11 +96,11 @@ class PartitionSet:
     def member(self, a: ClusterId, x, y) -> np.ndarray:
         return self.members(x, y)[a]
 
-    def gradient_magnitude(self, a: ClusterId, x, y, step: float = 1e-7) -> np.ndarray:
-        """Central-difference |grad j_a| of the exact callable."""
+    def gradient_magnitude(self, a: ClusterId, x, y) -> np.ndarray:
+        """Central-difference |grad j_a| of the exact callable, relative step 1e-7."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        h = step * np.maximum(1.0, np.hypot(x, y))
+        h = 1e-7 * np.maximum(1.0, np.hypot(x, y))
         dx = (self.member(a, x + h, y) - self.member(a, x - h, y)) / (2.0 * h)
         dy = (self.member(a, x, y + h) - self.member(a, x, y - h)) / (2.0 * h)
         return np.hypot(dx, dy)
@@ -114,12 +112,12 @@ class PartitionSet:
         return self.members(X, Y)
 
 
-def build_partition(width: float = DEFAULT_SMOOTHING_WIDTH,
-                    cover_samples: int = 1 << 20) -> PartitionSet:
+def build_partition(width: float = DEFAULT_SMOOTHING_WIDTH) -> PartitionSet:
     """Build the partition, checking that the smoothed cover still covers.
 
     The bump edges eat ``width`` into each cover set, so the width must stay
-    below the 1/60 margin between the tightest pair of constants.
+    below the 1/60 margin between the tightest pair of constants.  The cover
+    is checked on 2^20 directions.
     """
     if not 0.0 < width < COVER_MARGIN:
         raise ClusterError(
@@ -127,7 +125,7 @@ def build_partition(width: float = DEFAULT_SMOOTHING_WIDTH,
             f"cover margins, got {width}"
         )
     pset = PartitionSet(width=width)
-    theta = np.linspace(0.0, 2.0 * np.pi, cover_samples, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, 1 << 20, endpoint=False)
     xhat, yhat = np.cos(theta), np.sin(theta)
     total = np.zeros_like(xhat)
     for a in _MOVING:
@@ -160,18 +158,16 @@ class PartitionReport:
 
 def verify_partition(pset: PartitionSet, grid: GridSpec,
                      model: ThreeBodyModel | None = None,
-                     fields: dict | None = None,
-                     rays: int = 32,
-                     sum_tol: float = 1e-12) -> PartitionReport:
+                     fields: dict | None = None) -> PartitionReport:
     """Check the partition identities on the grid and report violations.
 
-    Checks: sum of squares equals one pointwise; members stay in [0, 1];
-    members vanish where their defining inequalities fail by more than the
-    smoothing slack; degree-zero homogeneity outside the unit ball; gradient
-    decay like 1/R on spheres; decay of the intercluster potentials times the
-    members along rays (when a model is supplied).  ``fields`` allows passing
-    externally sampled member fields (a tamper check); by default the exact
-    callables are sampled.
+    Checks: sum of squares equals one pointwise to 1e-12; members stay in
+    [0, 1]; members vanish where their defining inequalities fail by more
+    than the smoothing slack; degree-zero homogeneity outside the unit ball;
+    gradient decay like 1/R on spheres; decay of the intercluster potentials
+    times the members along 32 rays (when a model is supplied).  ``fields``
+    allows passing externally sampled member fields (a tamper check); by
+    default the exact callables are sampled.
     """
     violations: list[str] = []
     X, Y = grid.position_mesh()
@@ -179,8 +175,8 @@ def verify_partition(pset: PartitionSet, grid: GridSpec,
 
     total = sum(v * v for v in members.values())
     sum_dev = float(np.max(np.abs(total - 1.0)))
-    if sum_dev > sum_tol:
-        violations.append(f"sum of squares deviates by {sum_dev:.3e} > {sum_tol:.1e}")
+    if sum_dev > 1e-12:
+        violations.append(f"sum of squares deviates by {sum_dev:.3e} > 1.0e-12")
 
     range_bad = 0
     for a, v in members.items():
@@ -191,7 +187,7 @@ def verify_partition(pset: PartitionSet, grid: GridSpec,
     r = np.hypot(X, Y)
     safe_r = np.where(r == 0.0, 1.0, r)
     support_bad = 0
-    for a, conditions in pset.support_constants.items():
+    for a, conditions in SUPPORT_CONSTANTS.items():
         if a not in members:
             continue
         outside = np.zeros(r.shape, dtype=bool)
@@ -233,11 +229,11 @@ def verify_partition(pset: PartitionSet, grid: GridSpec,
 
     ray_decay = {}
     if model is not None:
-        phis = np.linspace(0.0, 2.0 * np.pi, rays, endpoint=False)
+        phis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
         radii = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
         worst_tail = 0.0
         for a in (ClusterId.PHOTON_FREE, ClusterId.ELECTRON_FREE, ClusterId.PAIR_FREE):
-            vals = np.zeros((rays, radii.size))
+            vals = np.zeros((phis.size, radii.size))
             for i, phi in enumerate(phis):
                 px, py = radii * np.cos(phi), radii * np.sin(phi)
                 j = pset.member(a, px, py)

@@ -1,7 +1,9 @@
 """Strang-split time evolution and the dynamical estimates built on it.
 
 Both split factors are exact complex phases on the lattice, so each step is
-unitary to roundoff; accuracy in dt is second order.  The dynamical
+unitary to roundoff; accuracy in dt is second order.  The step is
+:class:`~scatterlab.operators._Stepper` with z = i dt, the one the
+imaginary-time solver runs with a real z.  The dynamical
 experiments (local decay, minimal velocity, channel cutoffs, approximate wave
 operators, completeness defect) are compositions of evolution, spectral
 filtering, and smoothed position cutoffs.
@@ -17,7 +19,7 @@ from .clusters import ClusterId, require_two_cluster
 from .errors import BoundaryBreachError, GridError, HypothesisError, SpectralWindowError
 from .lattice import GridSpec, WaveFunction
 from .model import ThreeBodyModel
-from .operators import GridOperator, HamiltonianSpec, apply_hamiltonian
+from .operators import GridOperator, HamiltonianSpec, _Stepper, apply_hamiltonian
 from .spectral import ThresholdTable, deflate_against, spectral_filter
 
 BOUNDARY_SHELL_FRACTION = 0.9
@@ -56,33 +58,12 @@ class PropagatorSpec:
     ham: HamiltonianSpec
     dt: float
     steps_per_sample: int = 1
-    splitting: str = "strang"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise GridError("dt must be positive")
-        if self.splitting != "strang":
-            raise GridError(f"unknown splitting {self.splitting!r}")
         if self.steps_per_sample < 1:
             raise GridError("steps_per_sample must be >= 1")
-
-
-class _Stepper:
-    """Cached split-step phases of one grid operator for one dt.
-
-    dt may be negative, which evolves backward in time.
-    """
-
-    def __init__(self, op: GridOperator, dt: float):
-        self.grid = op.grid
-        self.dt = dt
-        self.half_v = np.exp(-0.5j * dt * op.potential)
-        self.kinetic = np.exp(-1j * dt * op.symbol)
-
-    def step(self, values: np.ndarray) -> np.ndarray:
-        out = self.half_v * values
-        out = np.fft.ifftn(self.kinetic * np.fft.fftn(out))
-        return self.half_v * out
 
 
 def _steps_for(duration: float, dt: float) -> int:
@@ -130,9 +111,9 @@ def _march(values: np.ndarray, stepper: _Stepper, blocks, boundary_limit: float,
 
 def _snapshots(values: np.ndarray, stepper: _Stepper, start: float, times,
                boundary_limit: float, reference: float | None = None) -> dict:
-    """States at the (monotone) ``times``, marching from ``start``; the stepper's dt is signed."""
+    """States at the (monotone) ``times``, marching from ``start`` in steps of ``|z|``."""
     ends = list(times)
-    blocks = [(_steps_for(abs(end - t), abs(stepper.dt)), end)
+    blocks = [(_steps_for(abs(end - t), abs(stepper.z)), end)
               for t, end in zip([start] + ends, ends)]
     snaps = {}
     _march(values, stepper, blocks, boundary_limit, snaps.__setitem__, reference)
@@ -153,7 +134,7 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
     """
     grid = wf.grid
     op = GridOperator(prop.ham, grid)
-    stepper = _Stepper(op, prop.dt)
+    stepper = _Stepper(op, 1j * prop.dt)
     steps = _steps_for(T, prop.dt)
     mesh = grid.position_mesh()
 
@@ -200,21 +181,17 @@ class CutoffSpec:
     """Parameters of the shrinking-region cutoffs F(X^2 / t^(2-eps) < delta).
 
     ``delta_prime = delta - eps`` is the slightly tightened constant the
-    channel cutoffs use; ``mu > 1/2`` is the local-decay weight power; the
-    smoothed step is (1 - tanh((u - threshold)/scale))/2 with scale a fixed
-    fraction of the threshold.
+    channel cutoffs use; the smoothed step is (1 - tanh((u - threshold)/scale))/2
+    with scale a fixed fraction of the threshold.
     """
 
     delta: float
     eps: float
-    mu: float = 0.6
     smoothing_fraction: float = 0.1
 
     def __post_init__(self):
         if not (self.delta > self.eps > 0):
             raise HypothesisError("need delta > eps > 0")
-        if not self.mu > 0.5:
-            raise HypothesisError("need mu > 1/2")
         if not 0 < self.smoothing_fraction <= 0.5:
             raise HypothesisError("smoothing fraction must be in (0, 1/2]")
 
@@ -272,15 +249,15 @@ def channel_cutoff(a: ClusterId, t: float, cutoffs: CutoffSpec, grid: GridSpec,
 def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: float,
                       T: float, dt: float, table: ThresholdTable | None = None,
                       known_eigenvalues=(), allow_eigenvalues: bool = False,
-                      sharpness: int | None = None, sample_interval: float = 0.25,
-                      filter_ripple: float = 1e-6, filter_transition: float = 0.1,
+                      filter_transition: float = 0.1,
                       boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> TraceSeries:
     """Cumulative weighted-decay integral I(t) for the filtered evolution.
 
     Filters ``psi0`` into the window and traces the trapezoid cumulative of
-    ||<X>^(-mu) psi(t)||^2.  The saturation ratio I(T)/I(T/2) lands in the
-    metadata; bounded ratios signal time-integrability, an eigenstate in the
-    window drives the ratio to 2.  ``allow_eigenvalues`` bypasses the
+    ||<X>^(-mu) psi(t)||^2, sampled every 0.25 time units (or every step if
+    dt is longer).  The saturation ratio I(T)/I(T/2) lands in the metadata;
+    bounded ratios signal time-integrability, an eigenstate in the window
+    drives the ratio to 2.  ``allow_eigenvalues`` bypasses the
     window precondition for negative controls.
     """
     if not mu > 0.5:
@@ -294,17 +271,15 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
                     f"window {tuple(window)} contains the eigenvalue {lam:.6f}; "
                     "local decay needs a window in the continuous spectrum")
     grid = psi0.grid
-    psi = spectral_filter(psi0, ham, window, sharpness=sharpness,
-                          target_ripple=filter_ripple,
-                          transition_fraction=filter_transition)
+    psi = spectral_filter(psi0, ham, window, transition_fraction=filter_transition)
     nrm = psi.norm()
     if nrm < 1e-12:
         raise SpectralWindowError("filtered state vanished; window misses the spectrum")
     psi = psi.scaled(1.0 / nrm)
 
     weight_sq = (1.0 + grid.radius_sq()) ** (-mu)
-    steps_per_sample = max(1, int(round(sample_interval / dt)))
-    stepper = _Stepper(GridOperator(ham, grid), dt)
+    steps_per_sample = max(1, int(round(0.25 / dt)))
+    stepper = _Stepper(GridOperator(ham, grid), 1j * dt)
     steps = _steps_for(T, dt)
 
     times, w = [], []
@@ -329,8 +304,7 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
 
 def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
                            cutoffs: CutoffSpec, T: float, dt: float, theta: float,
-                           sharpness: int | None = None, sample_interval: float = 1.0,
-                           skip_filter: bool = False, filter_ripple: float = 1e-6,
+                           sample_interval: float = 1.0, skip_filter: bool = False,
                            filter_transition: float = 0.1,
                            boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> TraceSeries:
     """Norm of the evolved filtered state inside the shrinking region X^2 < delta t^(2-eps).
@@ -345,8 +319,7 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
             f"theta = {theta} for the window")
     grid = psi0.grid
     psi = psi0 if skip_filter else spectral_filter(
-        psi0, ham, window, sharpness=sharpness, target_ripple=filter_ripple,
-        transition_fraction=filter_transition)
+        psi0, ham, window, transition_fraction=filter_transition)
     nrm = psi.norm()
     if nrm < 1e-12:
         raise SpectralWindowError("filtered state vanished; window misses the spectrum")
@@ -355,8 +328,8 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
     sample_times = [1.0]
     while sample_times[-1] + sample_interval <= T + 1e-9:
         sample_times.append(round(sample_times[-1] + sample_interval, 9))
-    snaps = _snapshots(psi.values, _Stepper(GridOperator(ham, grid), dt), 0.0, sample_times,
-                       boundary_limit)
+    snaps = _snapshots(psi.values, _Stepper(GridOperator(ham, grid), 1j * dt), 0.0,
+                       sample_times, boundary_limit)
     times, vals = [], []
     for t in sample_times:
         F = shrinking_region_field(grid, t, cutoffs.delta, cutoffs.eps,
@@ -371,14 +344,13 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
 
 def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel,
                          window, cutoffs: CutoffSpec, t: float, dt: float,
-                         table: ThresholdTable | None = None,
-                         sharpness: int | None = None, filter_ripple: float = 1e-6,
+                         table: ThresholdTable | None = None, filter_ripple: float = 1e-6,
                          filter_transition: float = 0.1,
-                         convention: str = "internal",
                          boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> WaveFunction:
     """Channel-a approximant: filter, evolve to t under H, cut, evolve back under H_a.
 
-    Realizes e^{+i H_a t} F_a e^{-i H t} E_window(H) psi0 at one time; its
+    Realizes e^{+i H_a t} F_a e^{-i H t} E_window(H) psi0 at one time, with
+    F_a the channel cutoff on the internal coordinate of ``a``; its
     stabilization along a time schedule is the existence statement the
     completeness experiment quantifies.
     """
@@ -389,28 +361,25 @@ def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
         table.require_clear(window)
     grid = psi0.grid
     ham_full = model.full()
-    psi = spectral_filter(psi0, ham_full, window, sharpness=sharpness,
-                          target_ripple=filter_ripple,
+    psi = spectral_filter(psi0, ham_full, window, target_ripple=filter_ripple,
                           transition_fraction=filter_transition)
     if psi.norm() <= 1e-7 * psi0.norm():
         # the window misses the spectrum; the approximant is the (ripple-level)
         # filtered state itself and evolving it would only propagate roundoff
         return psi
-    forward = _snapshots(psi.values, _Stepper(GridOperator(ham_full, grid), dt), 0.0, [t],
-                         boundary_limit)
+    forward = _snapshots(psi.values, _Stepper(GridOperator(ham_full, grid), 1j * dt), 0.0,
+                         [t], boundary_limit)
     scale = float(np.sum(np.abs(psi.values) ** 2))
-    cut = channel_cutoff(a, t, cutoffs, grid, convention=convention) * forward[t]
-    back = _snapshots(cut, _Stepper(GridOperator(model.truncated(a), grid), -dt), t, [0.0],
-                      boundary_limit, reference=scale)
+    cut = channel_cutoff(a, t, cutoffs, grid) * forward[t]
+    back = _snapshots(cut, _Stepper(GridOperator(model.truncated(a), grid), -1j * dt), t,
+                      [0.0], boundary_limit, reference=scale)
     return WaveFunction(grid, back[0.0])
 
 
 def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel,
                          window, cutoffs: CutoffSpec, schedule, dt: float,
                          table: ThresholdTable | None = None,
-                         sharpness: int | None = None, filter_ripple: float = 1e-6,
                          filter_transition: float = 0.1,
-                         convention: str = "internal",
                          boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> TraceSeries:
     """Stabilization of the channel approximants along a time schedule.
 
@@ -423,9 +392,8 @@ def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
         raise HypothesisError("the stabilization trace needs at least two times")
     approximants = [
         wave_operator_approx(a, psi0, model, window, cutoffs, t, dt, table=table,
-                             sharpness=sharpness, filter_ripple=filter_ripple,
                              filter_transition=filter_transition,
-                             convention=convention, boundary_limit=boundary_limit)
+                             boundary_limit=boundary_limit)
         for t in schedule
     ]
     diffs = [
@@ -439,10 +407,8 @@ def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
 def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
                         cutoffs: CutoffSpec, schedule, dt: float,
                         table: ThresholdTable | None = None,
-                        deflate_eigenvectors=(),
-                        sharpness: int | None = None, filter_ripple: float = 1e-6,
+                        deflate_eigenvectors=(), filter_ripple: float = 1e-6,
                         filter_transition: float = 0.1,
-                        convention: str = "internal",
                         boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> TraceSeries:
     """Defect || e^{-itH} psi - sum_a e^{-itH_a} phi_a || along a time schedule.
 
@@ -462,8 +428,7 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
     ham_full = model.full()
     t_ref = schedule[-1]
 
-    psi = spectral_filter(psi0, ham_full, window, sharpness=sharpness,
-                          target_ripple=filter_ripple,
+    psi = spectral_filter(psi0, ham_full, window, target_ripple=filter_ripple,
                           transition_fraction=filter_transition)
     psi = deflate_against(psi, deflate_eigenvectors)
     filtered_norm = psi.norm()
@@ -473,20 +438,20 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
                            metadata={"filtered_norm": filtered_norm,
                                      "window": tuple(window), "dt": dt})
 
-    forward = _snapshots(psi.values, _Stepper(GridOperator(ham_full, grid), dt), 0.0, schedule,
-                         boundary_limit)
+    forward = _snapshots(psi.values, _Stepper(GridOperator(ham_full, grid), 1j * dt), 0.0,
+                         schedule, boundary_limit)
     scale = float(np.sum(np.abs(psi.values) ** 2))
     channel_norms = {}
     channel_paths = {}
     for a in (ClusterId.PHOTON_FREE, ClusterId.ELECTRON_FREE, ClusterId.PAIR_FREE):
-        g = channel_cutoff(a, t_ref, cutoffs, grid, convention=convention) * forward[t_ref]
+        g = channel_cutoff(a, t_ref, cutoffs, grid) * forward[t_ref]
         channel_norms[str(a)] = float(
             np.sqrt(grid.measure * np.sum(np.abs(g) ** 2)))
         # marching backward through the schedule gives e^{-i tau H_a} phi_a
         # directly; off-channel slivers are tiny, so the breach guard runs
         # against the filtered state's scale rather than each sliver's own
-        channel_paths[a] = _snapshots(g, _Stepper(GridOperator(model.truncated(a), grid), -dt),
-                                      t_ref, reversed(schedule), boundary_limit,
+        back = _Stepper(GridOperator(model.truncated(a), grid), -1j * dt)
+        channel_paths[a] = _snapshots(g, back, t_ref, reversed(schedule), boundary_limit,
                                       reference=scale)
     defects = []
     for t in schedule:

@@ -20,12 +20,15 @@ from .clusters import ClusterId, TWO_CLUSTERS
 from .errors import SolverError, SpectralWindowError
 from .lattice import GridSpec, WaveFunction, gaussian_packet
 from .model import ThreeBodyModel
-from .operators import GridOperator, HamiltonianSpec, apply_hamiltonian
+from .operators import GridOperator, HamiltonianSpec, _Stepper, apply_hamiltonian
 
 DENSE_LIMIT = 4096
 
 # matching tolerance for "E is a threshold", set by the dense-oracle residual floor
 THRESHOLD_MATCH_TOL = 1e-9
+
+# d(E) below every threshold (the constant b); any positive value is admissible
+GAP_BELOW_THRESHOLDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,8 @@ def iterative_lowest(ham: HamiltonianSpec, grid: GridSpec, count: int,
     return _eigen_result(op, evals[order], evecs, order, "iterative-subspace", tol)
 
 
-def _krylov_polish(op: GridOperator, vals: np.ndarray, deflate, dim: int = 32):
-    """Rayleigh-Ritz in the Krylov space of the current iterate.
+def _krylov_polish(op: GridOperator, vals: np.ndarray, deflate):
+    """Rayleigh-Ritz in the (at most 32-dimensional) Krylov space of the current iterate.
 
     The split flow converges to a dt-dependent fixed point, so its residual
     plateaus; a small subspace solve around the plateau vector removes the
@@ -112,7 +115,7 @@ def _krylov_polish(op: GridOperator, vals: np.ndarray, deflate, dim: int = 32):
     grid = op.grid
     basis, hbasis = [], []
     w = vals / np.sqrt(grid.measure * np.sum(np.abs(vals) ** 2))
-    for _ in range(dim):
+    for _ in range(32):
         w = project_out(w, deflate, grid.measure)
         for _pass in range(2):  # reorthogonalize; one pass loses the small components
             for b in basis:
@@ -137,24 +140,21 @@ def _krylov_polish(op: GridOperator, vals: np.ndarray, deflate, dim: int = 32):
 
 
 def ground_state_imag_time(ham: HamiltonianSpec, grid: GridSpec, tol: float = 1e-8,
-                           deflate: tuple[WaveFunction, ...] = (),
-                           dt0: float = 0.2, max_steps: int = 40000,
-                           initial: WaveFunction | None = None) -> EigenResult:
+                           deflate: tuple[WaveFunction, ...] = ()) -> EigenResult:
     """Variational ground state by split-step imaginary-time descent.
 
-    Runs the Strang-split flow exp(-dt V/2) exp(-dt m(P)) exp(-dt V/2) with
-    renormalization, halving dt when the residual stagnates, and finishing
-    each plateau with a Rayleigh-Ritz polish in the Krylov space of the
-    iterate.  Orthogonalizing against ``deflate`` after every step reaches
-    excited states.  Converged when ||H psi - lambda psi|| <= tol * (1 + |lambda|).
+    Starting from a centered Gaussian, runs the Strang-split flow
+    exp(-dt V/2) exp(-dt m(P)) exp(-dt V/2) with renormalization, from
+    dt = 0.2 and for at most 40000 steps, halving dt when the residual
+    stagnates, and finishing each plateau with a Rayleigh-Ritz polish in the
+    Krylov space of the iterate.  Orthogonalizing against ``deflate`` after
+    every step reaches excited states.  Converged when
+    ||H psi - lambda psi|| <= tol * (1 + |lambda|).
     """
     op = GridOperator(ham, grid)
     if tol <= 0:
         raise SolverError("tol must be positive")
-    if initial is None:
-        psi = gaussian_packet(grid, 0.0, 0.0, max(1.0, grid.half_extent / 8.0))
-    else:
-        psi = initial.normalized()
+    psi = gaussian_packet(grid, 0.0, 0.0, max(1.0, grid.half_extent / 8.0))
 
     def residual_of(values):
         hv = apply_hamiltonian(WaveFunction(grid, values), op).values
@@ -165,19 +165,15 @@ def ground_state_imag_time(ham: HamiltonianSpec, grid: GridSpec, tol: float = 1e
         return EigenResult(np.array([lam]), (WaveFunction(grid, values),), np.array([res]),
                            method="imaginary-time", tol=tol)
 
-    def factors(dt):
-        return np.exp(-0.5 * dt * op.potential), np.exp(-dt * op.symbol)
-
-    dt = dt0
+    dt = 0.2
     best = np.inf
     since_improve = 0
     vals = project_out(psi.values, deflate, grid.measure)
     step = 0
-    half, kin = factors(dt)
-    while step < max_steps:
+    stepper = _Stepper(op, dt)
+    while step < 40000:
         for _ in range(10):
-            vals = half * np.fft.ifftn(kin * np.fft.fftn(half * vals))
-            vals = project_out(vals, deflate, grid.measure)
+            vals = project_out(stepper.step(vals), deflate, grid.measure)
             nrm = np.sqrt(grid.measure * np.sum(np.abs(vals) ** 2))
             if nrm == 0.0 or not np.isfinite(nrm):
                 raise SolverError("imaginary-time flow collapsed; all mass deflated away")
@@ -215,9 +211,9 @@ def ground_state_imag_time(ham: HamiltonianSpec, grid: GridSpec, tol: float = 1e
                     f"(target {tol * (1.0 + abs(lam)):.3e})",
                     best_residual=res,
                 )
-            half, kin = factors(dt)
+            stepper = _Stepper(op, dt)
     raise SolverError(
-        f"imaginary-time flow did not converge within {max_steps} steps "
+        f"imaginary-time flow did not converge within {step} steps "
         f"(best residual {best:.3e})",
         best_residual=best,
     )
@@ -227,17 +223,13 @@ def ground_state_imag_time(ham: HamiltonianSpec, grid: GridSpec, tol: float = 1e
 class ThresholdTable:
     """Negative subsystem eigenvalues per 2-cluster decomposition, plus zero.
 
-    ``b`` is the value the gap function takes below every threshold; any
-    positive constant is admissible.
+    E matches a threshold within ``THRESHOLD_MATCH_TOL``; below every
+    threshold the gap function takes the value ``GAP_BELOW_THRESHOLDS``.
     """
 
     per_cluster: dict[ClusterId, np.ndarray]
-    b: float = 1.0
-    match_tol: float = THRESHOLD_MATCH_TOL
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise SolverError("the fallback constant b must be positive")
         for a, eigs in self.per_cluster.items():
             if np.any(np.asarray(eigs) >= 0):
                 raise SolverError(f"cluster {a} stores a nonnegative threshold eigenvalue")
@@ -254,15 +246,15 @@ class ThresholdTable:
 
     def distance(self, E: float, a: ClusterId) -> float:
         taus = self.cluster_thresholds(a)
-        if np.any(np.abs(taus - E) <= self.match_tol):
+        if np.any(np.abs(taus - E) <= THRESHOLD_MATCH_TOL):
             return 0.0
         if E < taus[0]:
-            return self.b
+            return GAP_BELOW_THRESHOLDS
         below = taus[taus < E]
         return float(E - below[-1])
 
     def is_threshold(self, E: float) -> bool:
-        return bool(np.any(np.abs(self.thresholds - E) <= self.match_tol))
+        return bool(np.any(np.abs(self.thresholds - E) <= THRESHOLD_MATCH_TOL))
 
     def require_clear(self, window) -> None:
         """Raise :class:`SpectralWindowError` if the closed window holds a threshold."""
@@ -277,12 +269,12 @@ def distance_to_threshold(E: float, table: ThresholdTable) -> float:
     return min(table.distance(E, a) for a in TWO_CLUSTERS)
 
 
-def threshold_table(model: ThreeBodyModel, grid: GridSpec, tol: float = 1e-8,
-                    b: float = 1.0, cross_check: bool = True) -> ThresholdTable:
+def threshold_table(model: ThreeBodyModel, grid: GridSpec,
+                    cross_check: bool = True) -> ThresholdTable:
     """Collect the negative eigenvalues of every subsystem Hamiltonian.
 
-    Dense diagonalization on the one-particle grid, cross-checked against the
-    imaginary-time route when requested.
+    Dense diagonalization on the one-particle grid, cross-checked when
+    requested against the imaginary-time route at tolerance 1e-6.
     """
     if grid.particles != 1:
         raise SolverError("threshold_table runs subsystem problems on a one-particle grid")
@@ -298,7 +290,7 @@ def threshold_table(model: ThreeBodyModel, grid: GridSpec, tol: float = 1e-8,
         if cross_check and negatives.size:
             # the cross-check confirms the route, not the digits; shallow
             # states have tiny gaps where the variational flow crawls
-            cc_tol = max(tol, 1e-6)
+            cc_tol = 1e-6
             ground = ground_state_imag_time(h, grid, tol=cc_tol)
             if abs(ground.eigenvalues[0] - negatives[0]) > 10 * cc_tol * (1 + abs(negatives[0])):
                 raise SolverError(
@@ -306,7 +298,7 @@ def threshold_table(model: ThreeBodyModel, grid: GridSpec, tol: float = 1e-8,
                     f"{negatives[0]:.9f} vs imaginary-time {ground.eigenvalues[0]:.9f}"
                 )
         per[a] = negatives
-    return ThresholdTable(per, b=b)
+    return ThresholdTable(per)
 
 
 @dataclass(frozen=True)
@@ -333,10 +325,10 @@ def quadratic_fit(s_values, lambdas) -> np.ndarray:
 
 
 def dispersion_scan(model: ThreeBodyModel, grid: GridSpec, s_values,
-                    tol: float = 1e-8, guard_fraction: float = 0.1) -> DispersionCurve:
+                    tol: float = 1e-8) -> DispersionCurve:
     """Scan the pair-cluster fibers and fit lambda(s) against 1, s, s^2.
 
-    Fibers whose ground energy comes within ``guard_fraction`` of the
+    Fibers whose ground energy comes within a tenth of the gap lambda0 to the
     closed-form continuum edge are flagged and excluded from the fit.
     """
     from .commutators import continuum_edge  # local import to avoid a cycle
@@ -359,7 +351,7 @@ def dispersion_scan(model: ThreeBodyModel, grid: GridSpec, s_values,
     for i, s in enumerate(s_values):
         lams[i], resids[i] = (lam0, res0) if s == 0.0 else solve(s)
         edge = continuum_edge(s)
-        margin = guard_fraction * max(edge - lam0, 1e-12)
+        margin = 0.1 * max(edge - lam0, 1e-12)
         if lams[i] > edge - margin:
             flagged[i] = True
 
@@ -420,17 +412,18 @@ def _clenshaw_apply(op: GridOperator, values: np.ndarray, coef: np.ndarray,
 
 
 def spectral_filter(wf: WaveFunction, ham: HamiltonianSpec, window: tuple[float, float],
-                    sharpness: int | None = None, return_info: bool = False,
+                    return_info: bool = False,
                     target_ripple: float = 1e-6, transition_fraction: float = 0.1):
     """Polynomial smoothed spectral window applied through repeated H applies.
 
     The target is an erf-smoothed indicator of ``window`` with transition
     width ``transition_fraction`` of the window width, Chebyshev-expanded over
-    the hull of the grid operator's spectral range and the window.
-    ``sharpness`` overrides the automatic polynomial degree.  Windows entirely
-    above the operator range are rejected; windows below it are legitimate and
-    simply annihilate.  The filter kernel spreads over a position scale of
-    order 1/width, which must fit inside the box.
+    the hull of the grid operator's spectral range and the window, to the
+    lowest degree (at least 32) whose truncation stays below
+    ``target_ripple``.  Windows entirely above the operator range are
+    rejected; windows below it are legitimate and simply annihilate.  The
+    filter kernel spreads over a position scale of order 1/width, which must
+    fit inside the box.
     """
     e_lo, e_hi = float(window[0]), float(window[1])
     if not e_lo < e_hi:
@@ -445,15 +438,10 @@ def spectral_filter(wf: WaveFunction, ham: HamiltonianSpec, window: tuple[float,
     width = transition_fraction * (e_hi - e_lo)
     lo = min(lo_op, e_lo - 6.0 * width) - 0.02 * (hi_op - lo_op)
     hi = hi_op + 0.02 * (hi_op - lo_op)
-    if sharpness is None:
-        # erf-type smoothness: coefficients fall like exp(-(n pi width / span)^2 / 2)
-        span = hi - lo
-        degree = int(np.ceil(span / (np.pi * width) * np.sqrt(2.0 * np.log(1.0 / target_ripple))))
-        degree = max(degree, 32)
-    else:
-        degree = int(sharpness)
-        if degree < 1:
-            raise SpectralWindowError("sharpness must be a positive integer")
+    # erf-type smoothness: coefficients fall like exp(-(n pi width / span)^2 / 2)
+    span = hi - lo
+    degree = int(np.ceil(span / (np.pi * width) * np.sqrt(2.0 * np.log(1.0 / target_ripple))))
+    degree = max(degree, 32)
     coef = chebyshev_window_coefficients(e_lo, e_hi, width, lo, hi, degree)
     out_vals = _clenshaw_apply(op, wf.values, coef, lo, hi)
     out = WaveFunction(wf.grid, out_vals)
@@ -472,26 +460,24 @@ def deflate_against(wf: WaveFunction, vectors) -> WaveFunction:
 
 
 def localized_eigenvectors(ham: HamiltonianSpec, grid: GridSpec, count: int,
-                           window: tuple[float, float] | None = None,
-                           boundary_fraction: float = 0.5,
-                           boundary_mass_tol: float = 1e-4,
-                           seed: int = 11) -> list[tuple[float, WaveFunction]]:
+                           window: tuple[float, float] | None = None
+                           ) -> list[tuple[float, WaveFunction]]:
     """Bound-state-like low eigenvectors of the grid operator.
 
     Box-discretized continuum modes are extended across the lattice; genuine
-    bound states decay.  Only eigenvectors with boundary mass below the
-    tolerance (and inside the window, when given) are returned.  The dense
-    route is reserved for small grids; a handful of low modes on a big grid
-    is Lanczos territory.
+    bound states decay.  Only eigenvectors with less than 1e-4 of their mass
+    outside half the box (and inside the window, when given) are returned.
+    The dense route is reserved for small grids; a handful of low modes on a
+    big grid is Lanczos territory (seed 11).
     """
     if grid.size <= 1024:
         res = dense_spectrum(ham, grid, count)
     else:
-        res = iterative_lowest(ham, grid, count, seed=seed)
+        res = iterative_lowest(ham, grid, count, seed=11)
     out = []
     for lam, vec in zip(res.eigenvalues, res.eigenvectors):
         if window is not None and not (window[0] <= lam <= window[1]):
             continue
-        if vec.boundary_mass(boundary_fraction) < boundary_mass_tol:
+        if vec.boundary_mass(0.5) < 1e-4:
             out.append((float(lam), vec))
     return out

@@ -1,10 +1,12 @@
+import glob
 import os
 
 import numpy as np
 import pytest
 
 from scatterlab import experiments as xp
-from scatterlab.cli import _parse_ini, main, serialize_config
+from scatterlab.cli import (EXPERIMENTS, _parse_ini, main, parse_cutoffs, parse_grid,
+                            parse_model, parse_window, serialize_config)
 from scatterlab.errors import ConfigError, HypothesisError
 
 THRESHOLDS_INI = """
@@ -88,11 +90,27 @@ def test_malformed_config_missing_grid(tmp_path):
     assert rc == 2
 
 
-def test_unknown_key_rejected(tmp_path):
+@pytest.mark.parametrize("extra", ["bogus = 1",
+                                   "[schedule]\nsample_interval = 1.0",
+                                   "[cutoffs]\ndelta = 0.2\neps = 0.1\nmu = 0.6"],
+                         ids=["bogus", "schedule-sample_interval", "cutoffs-mu"])
+def test_unknown_key_rejected(tmp_path, extra):
     cfg = _write(tmp_path, THRESHOLDS_INI.replace(
-        "half_extent = 16.0", "half_extent = 16.0\nbogus = 1"))
+        "half_extent = 16.0", "half_extent = 16.0\n" + extra))
     rc = main(["thresholds", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), os.pardir, "configs", "*.ini"))), ids=os.path.basename)
+def test_shipped_config_parses(path):
+    cp = _parse_ini(path)
+    assert cp.get("experiment", "name") in EXPERIMENTS
+    parsers = {"model": parse_model, "grid": parse_grid, "window": parse_window,
+               "cutoffs": parse_cutoffs}
+    for section, parse in parsers.items():
+        if cp.has_section(section):
+            parse(cp)
 
 
 def test_duplicate_section_rejected(tmp_path):

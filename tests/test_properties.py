@@ -16,11 +16,11 @@ from scatterlab.operators import (
     GridOperator,
     HamiltonianSpec,
     SymbolTerm,
+    _Stepper,
     apply_hamiltonian,
     gaussian_well,
     poschl_teller,
 )
-from scatterlab.propagation import _Stepper
 from scatterlab.spectral import dense_spectrum
 
 GRIDS = (make_grid(1, 32, 6.0), make_grid(1, 64, 8.0), make_grid(2, 8, 4.0),
@@ -103,5 +103,14 @@ def test_dense_spectrum_equals_column_by_column_assembly(case):
 def test_strang_step_preserves_the_norm(case, seed, dt):
     grid, ham = case
     values = _states(grid, seed)
-    stepped = _Stepper(GridOperator(ham, grid), dt).step(values)
+    stepped = _Stepper(GridOperator(ham, grid), 1j * dt).step(values)
     assert abs(_norm(grid, stepped) - _norm(grid, values)) <= 1e-12 * _norm(grid, values)
+
+
+@given(cases(), st.integers(0, 2 ** 32 - 1), st.floats(0.001, 0.5))
+def test_backward_strang_step_inverts_a_forward_step(case, seed, dt):
+    grid, ham = case
+    op = GridOperator(ham, grid)
+    values = _states(grid, seed)
+    there_and_back = _Stepper(op, -1j * dt).step(_Stepper(op, 1j * dt).step(values))
+    assert _norm(grid, there_and_back - values) <= 1e-12 * _norm(grid, values)
