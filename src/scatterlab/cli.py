@@ -159,10 +159,6 @@ def parse_window(cp):
             _get(cp, "window", "hi", float, required=True))
 
 
-def _table_for(model):
-    return threshold_table(model, make_grid(1, 512, 32.0))
-
-
 def _out_path(out_dir, experiment, tag, suffix):
     return os.path.join(out_dir, f"{experiment}-{tag}.{suffix}")
 
@@ -229,7 +225,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         window = parse_window(cp)
         energy = _get(cp, "window", "energy", float, required=True)
         samples = _get(cp, "window", "samples", int, default=20)
-        table = _table_for(model)
+        table = threshold_table(model, make_grid(*xp.THRESHOLD_GRID))
         boundary_tol = _get(cp, "window", "boundary_tol", float, default=5e-2)
         report = mourre_report(energy, window, model, grid, table,
                                samples=samples, seed=seed, boundary_tol=boundary_tol)
@@ -309,7 +305,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         center = _get(cp, "packet", "center", float, default=0.0)
         psi0 = gaussian_packet(grid, center, momenta if len(momenta) > 1 else momenta[0],
                                width)
-        table = _table_for(model)
+        table = threshold_table(model, make_grid(*xp.THRESHOLD_GRID))
         if experiment == "local-decay":
             horizon = _get(cp, "schedule", "horizon", float, required=True)
             mu = _get(cp, "window", "mu", float, default=0.6)

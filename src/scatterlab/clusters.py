@@ -5,6 +5,11 @@ non-relativistic particle at x with kinetic energy p^2, and a massless
 particle at y with kinetic energy |k|.  A decomposition groups them by who
 stays together; external coordinates x_a separate the clusters, internal
 coordinates x^a live inside them.
+
+:data:`CHART` is the one place that says which coordinates are internal and
+which external for each decomposition.  Cluster counts, grid coordinate
+fields, conjugate momenta, channel cutoffs and the partition's quantities
+are all read from it through the tags that :func:`coordinate` evaluates.
 """
 
 from __future__ import annotations
@@ -27,15 +32,18 @@ class ClusterId(Enum):
 
 TWO_CLUSTERS = (ClusterId.PHOTON_FREE, ClusterId.ELECTRON_FREE, ClusterId.PAIR_FREE)
 
-_CLUSTER_COUNT = {
-    ClusterId.TOGETHER: 1,
-    ClusterId.PHOTON_FREE: 2,
-    ClusterId.ELECTRON_FREE: 2,
-    ClusterId.PAIR_FREE: 2,
-    ClusterId.ALL_FREE: 3,
+# The chart: the internal coordinates x^a and the external coordinates x_a
+# of each decomposition, as tags read by :func:`coordinate`.
+CHART = {
+    ClusterId.TOGETHER: (("x", "y"), ()),
+    ClusterId.PHOTON_FREE: (("x",), ("y",)),
+    ClusterId.ELECTRON_FREE: (("y",), ("x",)),
+    ClusterId.PAIR_FREE: (("x-y",), ("x+y",)),
+    ClusterId.ALL_FREE: ((), ("x", "y")),
 }
 
-# which of (v12, v13, v23) are internal to the clusters of a decomposition
+# which of (v12, v13, v23) are internal to the clusters of a decomposition; not
+# read off CHART, since x-y is internal to (xy0) without being one of its tags
 INTERNAL_POTENTIALS = {
     ClusterId.TOGETHER: ("v12", "v13", "v23"),
     ClusterId.PHOTON_FREE: ("v12",),
@@ -47,9 +55,26 @@ INTERNAL_POTENTIALS = {
 POTENTIAL_TAGS = {"v12": "x", "v13": "y", "v23": "x-y"}
 
 
+def coordinate(tag: str, x, y):
+    """The coordinate named by ``tag`` ("x", "y", "x-y" or "x+y") at points (x, y)."""
+    if tag == "x":
+        return x
+    if tag == "y":
+        return y
+    if tag == "x-y":
+        return x - y
+    if tag == "x+y":
+        return x + y
+    raise ClusterError(f"unknown coordinate tag {tag!r}")
+
+
 def cluster_count(a: ClusterId) -> int:
-    """#(a), the number of clusters in the decomposition."""
-    return _CLUSTER_COUNT[a]
+    """#(a), the number of clusters in the decomposition.
+
+    The center is fixed, so each cluster but the center's own moves in one
+    external coordinate.
+    """
+    return 1 + len(CHART[a][1])
 
 
 def require_two_cluster(a: ClusterId) -> None:
@@ -58,20 +83,10 @@ def require_two_cluster(a: ClusterId) -> None:
 
 
 def cluster_coordinates(a: ClusterId, point: tuple[float, float]):
-    """Split a configuration point (x, y) into (external x_a, internal x^a).
-
-    Follows the chart: (y)(x0) -> (y; x), (x)(y0) -> (x; y),
-    (xy)(0) -> (x+y; x-y), (xy0) -> (; x, y), (x)(y)(0) -> (x, y; ).
-    """
+    """Split a configuration point (x, y) into (external x_a, internal x^a)."""
+    if a not in CHART:
+        raise ClusterError(f"unknown cluster decomposition {a!r}")
     x, y = point
-    if a is ClusterId.TOGETHER:
-        return (), (x, y)
-    if a is ClusterId.PHOTON_FREE:
-        return (y,), (x,)
-    if a is ClusterId.ELECTRON_FREE:
-        return (x,), (y,)
-    if a is ClusterId.PAIR_FREE:
-        return (x + y,), (x - y,)
-    if a is ClusterId.ALL_FREE:
-        return (x, y), ()
-    raise ClusterError(f"unknown cluster decomposition {a!r}")
+    internal, external = CHART[a]
+    return (tuple(coordinate(t, x, y) for t in external),
+            tuple(coordinate(t, x, y) for t in internal))

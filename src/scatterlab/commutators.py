@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import ClusterId, cluster_count, require_two_cluster
+from .clusters import CHART, ClusterId, coordinate, require_two_cluster
 from .errors import (
     BoundaryConcentrationError,
     ClusterError,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .lattice import GridSpec, WaveFunction, random_state
 from .model import ThreeBodyModel
-from .operators import HamiltonianSpec, apply_hamiltonian
+from .operators import HamiltonianSpec, apply_hamiltonian, coordinate_field
 from .spectral import (
     ThresholdTable,
     deflate_against,
@@ -50,11 +50,7 @@ class ConjugateSpec:
     def __post_init__(self):
         if self.scope not in ("full", "internal", "external"):
             raise ClusterError(f"unknown conjugate scope {self.scope!r}")
-        if self.scope != "full" and self.cluster is not None:
-            if cluster_count(self.cluster) == 2:
-                return
-            if self.cluster in (ClusterId.TOGETHER, ClusterId.ALL_FREE):
-                return
+        if self.scope != "full" and self.cluster is not None and self.cluster not in CHART:
             raise ClusterError("scoped conjugate requires a valid cluster")
 
 
@@ -64,35 +60,23 @@ FULL_A = ConjugateSpec("full")
 def _conjugate_pairs(grid: GridSpec, spec: ConjugateSpec):
     """Canonical (position field, momentum multiplier) pairs the generator sums over.
 
-    For the pair cluster the canonical internal/external momenta are
-    (p -+ k)/2 against x -+ y, so that A^a + A_a reproduces the full A exactly.
+    The coordinates are the chart's internal or external tags of the cluster
+    (the full A is A^a of (xy0)).  x -+ y is conjugate to (p -+ k)/2, so that
+    A^a + A_a reproduces the full A exactly.
     """
-    mesh = grid.position_mesh()
     kmesh = grid.momentum_mesh()
     if grid.particles == 1:
         # on a one-particle grid every scope reduces to the lattice dilation
-        return [(mesh[0], kmesh[0])]
-    full = [(mesh[0], kmesh[0]), (mesh[1], kmesh[1])]
+        return [(coordinate_field(grid, "internal"), kmesh[0])]
     if spec.scope == "full":
-        return full
-    a = spec.cluster
-    if a is None:
+        tags = CHART[ClusterId.TOGETHER][0]
+    elif spec.cluster is None:
         raise ClusterError("scoped conjugate on a two-particle grid needs a cluster")
-    if a is ClusterId.TOGETHER:
-        return full if spec.scope == "internal" else []
-    if a is ClusterId.ALL_FREE:
-        return full if spec.scope == "external" else []
-    require_two_cluster(a)
-    if a is ClusterId.PHOTON_FREE:
-        internal = [(mesh[0], kmesh[0])]
-        external = [(mesh[1], kmesh[1])]
-    elif a is ClusterId.ELECTRON_FREE:
-        internal = [(mesh[1], kmesh[1])]
-        external = [(mesh[0], kmesh[0])]
-    else:  # PAIR_FREE
-        internal = [(grid.wrap(mesh[0] - mesh[1]), 0.5 * (kmesh[0] - kmesh[1]))]
-        external = [(grid.wrap(mesh[0] + mesh[1]), 0.5 * (kmesh[0] + kmesh[1]))]
-    return internal if spec.scope == "internal" else external
+    else:
+        tags = CHART[spec.cluster][spec.scope == "external"]
+    return [(coordinate_field(grid, t),
+             coordinate(t, *kmesh) if t in ("x", "y") else 0.5 * coordinate(t, *kmesh))
+            for t in tags]
 
 
 def check_boundary_concentration(wf: WaveFunction, tol: float = DEFAULT_BOUNDARY_TOL) -> float:

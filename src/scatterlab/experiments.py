@@ -212,6 +212,10 @@ def check_sqrt_identity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
 # box whose doubling moves it by less than 2e-3.
 PAIR_REFERENCE_GRID = (1, 1024, 128.0)
 
+# Box of the threshold tables of criteria 8, 11 and 13 and the CLI.  Thresholds
+# depend on it: dynamics (x)(y0) reads -0.0323 at L = 32 and -0.0205 at L = 128.
+THRESHOLD_GRID = (1, 512, 32.0)
+
 
 def pair_sector_hamiltonian(model: ThreeBodyModel, s: float) -> HamiltonianSpec:
     """H_(xy)(0) on the states e^{isy} f(x - y) of total momentum s.
@@ -462,7 +466,7 @@ def check_free_positivity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult
 def check_interacting_positivity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
     t0 = time.perf_counter()
     model = default_model()
-    table = threshold_table(model, make_grid(1, 512, 32.0))
+    table = threshold_table(model, make_grid(*THRESHOLD_GRID))
     # box large against the window's spatial coherence, as in the free check
     grid = make_grid(2, 128, 48.0)
     # E and the window keep clear of the (xy)(0) threshold -0.6357: d(-0.3)
@@ -609,7 +613,7 @@ def check_local_decay(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
     # interacting: bound massive particle, escaping massless particle; the
     # filter kernel spreads like 1/(transition width), so the box is large
     model = dynamics_model()
-    table = threshold_table(model, make_grid(1, 512, 32.0))
+    table = threshold_table(model, make_grid(*THRESHOLD_GRID))
     grid_i = make_grid(2, 512, 128.0)
     g1, lam0, xground = bound_ground_1d(model, ClusterId.PHOTON_FREE, 512, 128.0)
     # the packet starts slightly off the center and escapes at unit speed; the
@@ -704,7 +708,7 @@ def check_channels(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
     rows = []
 
     model = dynamics_model()
-    table = threshold_table(model, make_grid(1, 512, 32.0))
+    table = threshold_table(model, make_grid(*THRESHOLD_GRID))
     grid = make_grid(2, 512, 128.0)
     cutoffs = CutoffSpec(delta=0.12, eps=0.02)
     window = (-0.65, -0.45)

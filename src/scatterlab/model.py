@@ -51,12 +51,7 @@ class ThreeBodyModel:
 
     def full(self) -> HamiltonianSpec:
         """H = p^2 + |k| + V12(x) + V13(y) + V23(x-y) on the two-particle grid."""
-        return HamiltonianSpec(free_symbol(), (
-            (self.v12, "x"), (self.v13, "y"), (self.v23, "x-y"),
-        ))
-
-    def free(self) -> HamiltonianSpec:
-        return HamiltonianSpec(free_symbol(), ())
+        return self.truncated(ClusterId.TOGETHER)
 
     def truncated(self, a: ClusterId) -> HamiltonianSpec:
         """H_a = H0 + (potentials internal to a), on the two-particle grid."""

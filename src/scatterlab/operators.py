@@ -3,10 +3,13 @@
 A Hamiltonian is a Fourier multiplier (the dispersion symbol, a real function
 of the momentum lattice) plus a sum of position-space potentials, each tagged
 with the coordinate it acts on: the first particle ("x"), the second ("y"),
-their difference ("x-y", minimal-image wrapped), or the single axis of a
-one-particle grid ("internal").  :class:`GridOperator` is the one place where
-a Hamiltonian's symbol and potential fields are built on a grid; every solver
-route applies H through :func:`apply_hamiltonian` with one such operator.
+their difference ("x-y"), or the single axis of a one-particle grid
+("internal").  :func:`coordinate_field` turns any tag of the cluster chart
+(:data:`.clusters.CHART`) into a grid field; sums and differences are
+minimal-image wrapped, single-particle coordinates are not.
+:class:`GridOperator` is the one place where a Hamiltonian's symbol and
+potential fields are built on a grid; every solver route applies H through
+:func:`apply_hamiltonian` with one such operator.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .clusters import coordinate
 from .errors import GridError, PotentialError
 from .lattice import GridSpec, WaveFunction
 
@@ -251,13 +255,10 @@ def coordinate_field(grid: GridSpec, tag: str) -> np.ndarray:
         return mesh[0]
     if grid.particles != 2:
         raise GridError(f"tag {tag!r} requires a two-particle grid")
-    if tag == "x":
-        return mesh[0]
-    if tag == "y":
-        return mesh[1]
-    if tag == "x-y":
-        return grid.wrap(mesh[0] - mesh[1])
-    raise GridError(f"unknown coordinate tag {tag!r}")
+    # only sums and differences leave the box; wrapping a single-particle
+    # coordinate would move a box with a non-dyadic half extent by an ulp
+    u = coordinate(tag, *mesh)
+    return u if tag in ("x", "y") else grid.wrap(u)
 
 
 def potential_field(grid: GridSpec, ham: HamiltonianSpec) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import ClusterId
+from .clusters import TWO_CLUSTERS, ClusterId, coordinate
 from .errors import ClusterError, GridError
 from .lattice import GridSpec
 from .model import ThreeBodyModel
@@ -42,19 +42,11 @@ def smoothstep(t):
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def _quantity(name, x, y):
-    if name == "x":
-        return np.abs(x)
-    if name == "y":
-        return np.abs(y)
-    return np.abs(x - y)
-
-
 def _bump(a: ClusterId, xhat, yhat, width: float):
     """Product of smoothstep edges; supported strictly inside the cover set."""
     out = np.ones_like(np.asarray(xhat, dtype=float))
     for name, sense, c in SUPPORT_CONSTANTS[a]:
-        q = _quantity(name, xhat, yhat)
+        q = np.abs(coordinate(name, xhat, yhat))
         if sense == ">":
             out = out * smoothstep((q - c) / width)
         else:
@@ -192,7 +184,7 @@ def verify_partition(pset: PartitionSet, grid: GridSpec,
             continue
         outside = np.zeros(r.shape, dtype=bool)
         for name, sense, c in conditions:
-            q = _quantity(name, X, Y) / safe_r
+            q = np.abs(coordinate(name, X, Y)) / safe_r
             slack = 1.5 * pset.width
             if sense == ">":
                 outside |= q < c - slack
@@ -232,15 +224,14 @@ def verify_partition(pset: PartitionSet, grid: GridSpec,
         phis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
         radii = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
         worst_tail = 0.0
-        for a in (ClusterId.PHOTON_FREE, ClusterId.ELECTRON_FREE, ClusterId.PAIR_FREE):
+        for a in TWO_CLUSTERS:
             vals = np.zeros((phis.size, radii.size))
             for i, phi in enumerate(phis):
                 px, py = radii * np.cos(phi), radii * np.sin(phi)
                 j = pset.member(a, px, py)
                 inter = np.zeros(radii.size)
                 for pot, tag in model.intercluster(a):
-                    q = {"x": px, "y": py, "x-y": px - py}[tag]
-                    inter = inter + pot.value(q)
+                    inter = inter + pot.value(coordinate(tag, px, py))
                 vals[i] = np.abs(inter * j)
             ray_decay[str(a)] = float(np.max(vals[:, -1]))
             worst_tail = max(worst_tail, ray_decay[str(a)])

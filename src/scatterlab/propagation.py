@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clusters import ClusterId, require_two_cluster
+from .clusters import CHART, TWO_CLUSTERS, ClusterId, require_two_cluster
 from .errors import BoundaryBreachError, GridError, HypothesisError, SpectralWindowError
 from .lattice import GridSpec, WaveFunction
 from .model import ThreeBodyModel
-from .operators import GridOperator, HamiltonianSpec, _Stepper, apply_hamiltonian
+from .operators import (GridOperator, HamiltonianSpec, _Stepper, apply_hamiltonian,
+                        coordinate_field)
 from .spectral import ThresholdTable, deflate_against, spectral_filter
 
 BOUNDARY_SHELL_FRACTION = 0.9
@@ -218,9 +219,9 @@ def channel_cutoff(a: ClusterId, t: float, cutoffs: CutoffSpec, grid: GridSpec,
                    convention: str = "internal") -> np.ndarray:
     """Channel cutoff F((x^a)^2 / t^(2-eps) < delta') as a field on the grid.
 
-    The cut acts on the internal coordinate of the decomposition (x, y, or
-    x-y); ``convention="external"`` switches to the external coordinate
-    (y, x, or x+y) for comparison.
+    The cut acts on the internal coordinate x^a of the decomposition, read
+    from the cluster chart; ``convention="external"`` switches to the
+    external coordinate x_a for comparison.
     """
     require_two_cluster(a)
     if grid.particles != 2:
@@ -229,18 +230,7 @@ def channel_cutoff(a: ClusterId, t: float, cutoffs: CutoffSpec, grid: GridSpec,
         raise HypothesisError("channel cutoffs are defined for t >= 1")
     if convention not in ("internal", "external"):
         raise GridError(f"unknown cutoff convention {convention!r}")
-    X, Y = grid.position_mesh()
-    internal = {
-        ClusterId.PHOTON_FREE: X,
-        ClusterId.ELECTRON_FREE: Y,
-        ClusterId.PAIR_FREE: grid.wrap(X - Y),
-    }
-    external = {
-        ClusterId.PHOTON_FREE: Y,
-        ClusterId.ELECTRON_FREE: X,
-        ClusterId.PAIR_FREE: grid.wrap(X + Y),
-    }
-    coord = internal[a] if convention == "internal" else external[a]
+    coord = coordinate_field(grid, CHART[a][convention == "external"][0])
     u = coord ** 2 / t ** (2.0 - cutoffs.eps)
     dp = cutoffs.delta_prime
     return smoothed_step_below(u, dp, cutoffs.smoothing_fraction * dp)
@@ -443,7 +433,7 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
     scale = float(np.sum(np.abs(psi.values) ** 2))
     channel_norms = {}
     channel_paths = {}
-    for a in (ClusterId.PHOTON_FREE, ClusterId.ELECTRON_FREE, ClusterId.PAIR_FREE):
+    for a in TWO_CLUSTERS:
         g = channel_cutoff(a, t_ref, cutoffs, grid) * forward[t_ref]
         channel_norms[str(a)] = float(
             np.sqrt(grid.measure * np.sum(np.abs(g) ** 2)))

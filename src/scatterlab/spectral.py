@@ -389,9 +389,11 @@ def chebyshev_window_coefficients(e_lo: float, e_hi: float, width: float,
     xc = np.cos(theta)
     E = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xc
     f = _smooth_window(E, e_lo, e_hi, width)
-    # type-1 DCT by direct cosine sums; n is a few thousand at most
-    ks = np.arange(n)
-    c = (2.0 / n) * np.cos(np.outer(ks, theta)) @ f
+    # imported here: scipy.fft adds 0.1 s and 5 MB to every process that imports
+    # the package, and only filters need it
+    from scipy.fft import dct
+    # c_k = (2/n) sum_j f_j cos(k theta_j), a type-2 DCT: O(n log n) time, O(n) memory
+    c = dct(f, type=2) / n
     c[0] *= 0.5
     return c
 

@@ -1,6 +1,13 @@
 import pytest
 
-from scatterlab.clusters import ClusterId, TWO_CLUSTERS, cluster_coordinates, cluster_count
+from scatterlab.clusters import (
+    CHART,
+    ClusterId,
+    TWO_CLUSTERS,
+    cluster_coordinates,
+    cluster_count,
+    coordinate,
+)
 from scatterlab.errors import ClusterError
 from scatterlab.model import default_model
 
@@ -46,3 +53,14 @@ def test_reduced_requires_two_cluster():
         model.subsystem(ClusterId.ALL_FREE)
     for a in TWO_CLUSTERS:
         model.reduced(a, 0.3)
+
+
+def test_truncated_potentials_act_on_the_internal_coordinates_of_the_chart():
+    model = default_model()
+    for a in TWO_CLUSTERS:
+        assert tuple(tag for _, tag in model.truncated(a).potentials) == CHART[a][0]
+
+
+def test_unknown_coordinate_tag_raises():
+    with pytest.raises(ClusterError):
+        coordinate("x*y", 1.0, 2.0)

@@ -38,14 +38,14 @@ def test_dilation_annihilates_even_real_state():
     assert abs(val) <= 1e-10
 
 
-def test_dilation_splits_into_internal_external():
+@pytest.mark.parametrize("a", list(ClusterId))
+def test_dilation_splits_into_internal_external(a):
     grid = make_grid(2, 128, 24.0)
     psi = gaussian_packet(grid, 0.0, (0.5, 0.7), 1.5)
-    for a in TWO_CLUSTERS:
-        full = apply_dilation(psi, FULL_A)
-        internal = apply_dilation(psi, ConjugateSpec("internal", a))
-        external = apply_dilation(psi, ConjugateSpec("external", a))
-        assert (full - internal - external).norm() <= 1e-10 * psi.norm()
+    full = apply_dilation(psi, FULL_A)
+    internal = apply_dilation(psi, ConjugateSpec("internal", a))
+    external = apply_dilation(psi, ConjugateSpec("external", a))
+    assert (full - internal - external).norm() <= 1e-10 * psi.norm()
 
 
 def test_dilation_gaussian_quadrature_oracle():

@@ -2,14 +2,16 @@
 
 Symbols are random sums of quadratic, absolute and constant terms (shifts
 included); potentials are random Poschl-Teller or Gaussian wells on every
-coordinate the grid offers.  The hypothesis profile in conftest.py keeps the
-examples deterministic.
+coordinate the grid offers.  The cluster chart is checked to be invertible
+on random points.  The hypothesis profile in conftest.py keeps the examples
+deterministic.
 """
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scatterlab.clusters import CHART, ClusterId, cluster_coordinates, cluster_count
 from scatterlab.lattice import WaveFunction, make_grid
 from scatterlab.operators import (
     DispersionSymbol,
@@ -114,3 +116,17 @@ def test_backward_strang_step_inverts_a_forward_step(case, seed, dt):
     values = _states(grid, seed)
     there_and_back = _Stepper(op, -1j * dt).step(_Stepper(op, 1j * dt).step(values))
     assert _norm(grid, there_and_back - values) <= 1e-12 * _norm(grid, values)
+
+
+@given(st.sampled_from(list(ClusterId)), st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+def test_cluster_chart_is_invertible(a, x, y):
+    external, internal = cluster_coordinates(a, (x, y))
+    assert len(external) + len(internal) == 2
+    assert cluster_count(a) == 1 + len(external)
+    values = dict(zip(CHART[a][0] + CHART[a][1], internal + external))
+    if "x+y" in values:
+        s, d = values["x+y"], values["x-y"]
+        values = {"x": 0.5 * (s + d), "y": 0.5 * (s - d)}
+    scale = max(abs(x), abs(y))
+    assert abs(values["x"] - x) <= 1e-12 * scale
+    assert abs(values["y"] - y) <= 1e-12 * scale

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from scatterlab.operators import (
 )
 from scatterlab.spectral import (
     ThresholdTable,
+    _smooth_window,
+    chebyshev_window_coefficients,
     dense_spectrum,
     dispersion_scan,
     distance_to_threshold,
@@ -285,3 +289,26 @@ def test_dispersion_scan_flags_fiber_near_edge():
     big = np.abs(curve.s_values) > 1.0
     assert curve.flagged[big].all()
     assert not curve.flagged[~big].any()
+
+
+@pytest.mark.parametrize("degree", [32, 257, 1600])
+def test_chebyshev_coefficients_equal_the_cosine_sum(degree):
+    lo, hi, e_lo, e_hi, width = -3.0, 9.0, -0.45, -0.15, 0.03
+    n = degree + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    f = _smooth_window(0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta), e_lo, e_hi, width)
+    expected = np.array([2.0 / n * np.sum(f * np.cos(k * theta)) for k in range(n)])
+    expected[0] *= 0.5
+    coef = chebyshev_window_coefficients(e_lo, e_hi, width, lo, hi, degree)
+    assert np.max(np.abs(coef - expected)) <= 1e-13
+
+
+def test_chebyshev_coefficients_take_linear_memory():
+    chebyshev_window_coefficients(-0.45, -0.15, 0.03, -3.0, 9.0, 8)  # imports scipy.fft
+    tracemalloc.start()
+    try:
+        chebyshev_window_coefficients(-0.45, -0.15, 0.03, -3.0, 9.0, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 ** 2
