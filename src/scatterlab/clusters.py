@@ -68,13 +68,20 @@ def coordinate(tag: str, x, y):
     raise ClusterError(f"unknown coordinate tag {tag!r}")
 
 
+def _chart(a: ClusterId) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """CHART[a]; anything but a ClusterId raises :class:`ClusterError`."""
+    if not isinstance(a, ClusterId):
+        raise ClusterError(f"unknown cluster decomposition {a!r}")
+    return CHART[a]
+
+
 def cluster_count(a: ClusterId) -> int:
     """#(a), the number of clusters in the decomposition.
 
     The center is fixed, so each cluster but the center's own moves in one
     external coordinate.
     """
-    return 1 + len(CHART[a][1])
+    return 1 + len(_chart(a)[1])
 
 
 def require_two_cluster(a: ClusterId) -> None:
@@ -84,9 +91,7 @@ def require_two_cluster(a: ClusterId) -> None:
 
 def cluster_coordinates(a: ClusterId, point: tuple[float, float]):
     """Split a configuration point (x, y) into (external x_a, internal x^a)."""
-    if a not in CHART:
-        raise ClusterError(f"unknown cluster decomposition {a!r}")
+    internal, external = _chart(a)
     x, y = point
-    internal, external = CHART[a]
     return (tuple(coordinate(t, x, y) for t in external),
             tuple(coordinate(t, x, y) for t in internal))

@@ -275,6 +275,8 @@ class GridOperator:
     momentum lattice) and ``potential`` (V on the position lattice) built once.
 
     :meth:`apply` takes one state of ``grid.shape`` or a stack ``(k, *grid.shape)``.
+    :attr:`even_symbol` says whether m(-k) = m(k) on the lattice; V is real, so
+    then H is a real symmetric matrix in position space.
     """
 
     def __init__(self, ham: HamiltonianSpec, grid: GridSpec):
@@ -285,6 +287,14 @@ class GridOperator:
             field.setflags(write=False)
         self._axes = tuple(range(-grid.axes, 0))
         self._has_potential = bool(np.any(self.potential))
+        # k -> -k maps FFT index j to -j mod N on every axis: flip, then roll by one
+        mirror = np.roll(np.flip(self.symbol), 1, axis=tuple(range(self.symbol.ndim)))
+        self._even_symbol = bool(np.array_equal(self.symbol, mirror))
+
+    @property
+    def even_symbol(self) -> bool:
+        """True when the symbol is even under k -> -k, so that H is real symmetric."""
+        return self._even_symbol
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """``m(P)`` by unitary FFTs over the trailing grid axes, plus ``V`` pointwise."""

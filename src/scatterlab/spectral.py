@@ -7,6 +7,15 @@ scipy for grids past the dense limit.  The dense route is the reference all
 other numbers are checked against.  Every route builds one
 :class:`~scatterlab.operators.GridOperator` and applies H through
 :func:`~scatterlab.operators.apply_hamiltonian`, one state per call.
+
+The dense and Lanczos routes run in real arithmetic when the operator's
+symbol is even (``GridOperator.even_symbol``), which holds whenever no
+non-constant symbol term is shifted: the full and subsystem Hamiltonians, the
+(y)(x0) and (x)(y0) fibers at any s, and the (xy)(0) fiber at s = 0.  The
+potentials are real, so H is then a real symmetric matrix: the dense route
+calls real ``eigh`` and the Lanczos route runs ARPACK's symmetric ``dsaupd``.
+Every other operator is solved as complex Hermitian.  Residuals always use
+the complex apply.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .clusters import ClusterId, TWO_CLUSTERS
 from .errors import SolverError, SpectralWindowError
@@ -68,7 +77,11 @@ def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenRes
     """Lowest ``count`` eigenpairs of the exact grid operator.
 
     The matrix is assembled by applying the Hamiltonian to every lattice basis
-    vector, then symmetrized against roundoff and diagonalized.
+    vector, then symmetrized against roundoff and diagonalized.  When the
+    symbol is even (:attr:`GridOperator.even_symbol`: no non-constant symbol
+    term is shifted), H is real symmetric: only the real part of each column
+    is kept and real ``eigh`` runs on half the memory; otherwise the matrix
+    is complex Hermitian.
     """
     op = GridOperator(ham, grid)
     n = grid.size
@@ -79,28 +92,45 @@ def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenRes
         )
     if not 1 <= count <= n:
         raise SolverError(f"count must be in [1, {n}]")
-    mat = np.empty((n, n), dtype=np.complex128)
+    real = op.even_symbol
+    mat = np.empty((n, n), dtype=np.float64 if real else np.complex128)
     basis = np.zeros(n, dtype=np.complex128)
     for j in range(n):  # WaveFunction freezes a reshaped view, so basis stays writable
         basis[j] = 1.0
-        column = apply_hamiltonian(WaveFunction(grid, basis.reshape(grid.shape)), op)
-        mat[:, j] = column.values.ravel()
+        column = apply_hamiltonian(WaveFunction(grid, basis.reshape(grid.shape)), op).values
+        mat[:, j] = column.real.ravel() if real else column.ravel()
         basis[j] = 0.0
-    mat = (mat + mat.conj().T) / 2.0
+    mat = (mat + (mat.T if real else mat.conj().T)) / 2.0  # conj() of a real matrix is a copy
     evals, evecs = np.linalg.eigh(mat)
     return _eigen_result(op, evals[:count], evecs, range(count), "dense", 1e-9)
 
 
 def iterative_lowest(ham: HamiltonianSpec, grid: GridSpec, count: int,
                      tol: float = 1e-9, seed: int = 7) -> EigenResult:
-    """Lowest eigenpairs via Lanczos on the matrix-free grid operator."""
+    """Lowest ``count`` eigenpairs, 1 <= count <= grid.size - 2, by ARPACK.
+
+    The matrix-free grid operator runs as symmetric Lanczos (``dsaupd``) on
+    real vectors when the symbol is even (:attr:`GridOperator.even_symbol`),
+    and as complex Arnoldi (``znaupd``) otherwise.  A count out of range, a
+    run that does not converge and any other ARPACK failure raise
+    :class:`SolverError`.
+    """
+    n = grid.size
+    if not 1 <= count <= n - 2:
+        raise SolverError(f"count must be in [1, {n - 2}]")
     op = GridOperator(ham, grid)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(grid.size)
-    lin_op = LinearOperator((grid.size, grid.size), dtype=np.complex128,
-                            matvec=lambda v: apply_hamiltonian(
-                                WaveFunction(grid, v.reshape(grid.shape)), op).values.reshape(-1))
-    evals, evecs = eigsh(lin_op, k=count, which="SA", tol=tol, v0=v0, maxiter=5000)
+    real = op.even_symbol
+
+    def matvec(v):
+        hv = apply_hamiltonian(WaveFunction(grid, v.reshape(grid.shape)), op).values.reshape(-1)
+        return hv.real if real else hv
+
+    lin_op = LinearOperator((n, n), dtype=np.float64 if real else np.complex128, matvec=matvec)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        evals, evecs = eigsh(lin_op, k=count, which="SA", tol=tol, v0=v0, maxiter=5000)
+    except ArpackError as exc:  # no convergence, or H v0 = 0 for the zero operator
+        raise SolverError(f"ARPACK failed on the grid operator: {exc}") from exc
     order = np.argsort(evals)
     return _eigen_result(op, evals[order], evecs, order, "iterative-subspace", tol)
 

@@ -7,6 +7,7 @@ from scatterlab.clusters import (
     cluster_coordinates,
     cluster_count,
     coordinate,
+    require_two_cluster,
 )
 from scatterlab.errors import ClusterError
 from scatterlab.model import default_model
@@ -64,3 +65,13 @@ def test_truncated_potentials_act_on_the_internal_coordinates_of_the_chart():
 def test_unknown_coordinate_tag_raises():
     with pytest.raises(ClusterError):
         coordinate("x*y", 1.0, 2.0)
+
+
+@pytest.mark.parametrize("a", ["(xy)(0)", None, 2])
+def test_anything_but_a_cluster_id_raises_cluster_error(a):
+    model = default_model()
+    for call in (lambda: cluster_count(a), lambda: require_two_cluster(a),
+                 lambda: cluster_coordinates(a, (1.0, 0.5)),
+                 lambda: model.subsystem(a), lambda: model.reduced(a, 0.3)):
+        with pytest.raises(ClusterError):
+            call()

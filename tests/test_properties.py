@@ -1,17 +1,22 @@
-"""Property tests of the grid operator on small random Hamiltonians.
+"""Property tests of the grid operator and its eigensolvers on small random Hamiltonians.
 
 Symbols are random sums of quadratic, absolute and constant terms (shifts
 included); potentials are random Poschl-Teller or Gaussian wells on every
-coordinate the grid offers.  The cluster chart is checked to be invertible
-on random points.  The hypothesis profile in conftest.py keeps the examples
-deterministic.
+coordinate the grid offers.  Shifted and unshifted symbols together reach
+both arithmetic routes of the dense and Lanczos solvers: real symmetric for
+an even symbol, complex Hermitian otherwise.  The cluster chart is checked to
+be invertible on random points.  The hypothesis profile in conftest.py keeps
+the examples deterministic.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from scatterlab.clusters import CHART, ClusterId, cluster_coordinates, cluster_count
+from scatterlab.errors import SolverError
 from scatterlab.lattice import WaveFunction, make_grid
 from scatterlab.operators import (
     DispersionSymbol,
@@ -23,7 +28,7 @@ from scatterlab.operators import (
     gaussian_well,
     poschl_teller,
 )
-from scatterlab.spectral import dense_spectrum
+from scatterlab.spectral import dense_spectrum, iterative_lowest
 
 GRIDS = (make_grid(1, 32, 6.0), make_grid(1, 64, 8.0), make_grid(2, 8, 4.0),
          make_grid(2, 16, 6.0))
@@ -84,9 +89,8 @@ def test_stacked_apply_equals_per_state_apply(case, seed, count):
         assert np.array_equal(out[i], single.values)
 
 
-@given(cases(grids=GRIDS[:3]))
-def test_dense_spectrum_equals_column_by_column_assembly(case):
-    grid, ham = case
+def _assembled(grid, ham):
+    """The symmetrized complex matrix of H, one apply per lattice basis vector."""
     n = grid.size
     mat = np.empty((n, n), dtype=np.complex128)
     basis = np.zeros(n, dtype=np.complex128)
@@ -95,10 +99,79 @@ def test_dense_spectrum_equals_column_by_column_assembly(case):
         column = apply_hamiltonian(WaveFunction(grid, basis.reshape(grid.shape).copy()), ham)
         mat[:, j] = column.values.reshape(-1)
         basis[j] = 0.0
-    mat = (mat + mat.conj().T) / 2.0
+    return (mat + mat.conj().T) / 2.0
+
+
+def _even(grid, ham):
+    """True when the spec's symbol takes the same values at k and -k on the lattice.
+
+    That is "no non-constant term is shifted", save for shifts too small to
+    move any lattice value (such as 3.6e-216).
+    """
+    mesh = grid.momentum_mesh()
+    return np.array_equal(ham.symbol.evaluate(mesh), ham.symbol.evaluate(tuple(-k for k in mesh)))
+
+
+@given(cases(grids=GRIDS[:3]))
+def test_dense_spectrum_equals_column_by_column_assembly(case):
+    grid, ham = case
+    mat = _assembled(grid, ham)
+    # with an even symbol H is real symmetric and the dense route runs real eigh
+    reference = np.linalg.eigh(mat.real if _even(grid, ham) else mat)[0]
     count = 4
     res = dense_spectrum(ham, grid, count)
-    assert np.array_equal(res.eigenvalues, np.linalg.eigh(mat)[0][:count])
+    assert np.array_equal(res.eigenvalues, reference[:count])
+
+
+@given(cases(grids=(GRIDS[1], GRIDS[3])))
+def test_dense_and_lanczos_eigenvalues_agree(case):
+    grid, ham = case
+    dense = dense_spectrum(ham, grid, grid.size).eigenvalues
+    try:
+        ritz = iterative_lowest(ham, grid, 3, tol=1e-10).eigenvalues
+    except SolverError:
+        # ARPACK may give up only where Lanczos cannot resolve the lowest
+        # eigenvalues: a cluster flat next to the spectral width, H = 0 included
+        assert dense[3] - dense[0] <= 1e-6 * (dense[-1] - dense[0])
+        return
+    for lam in ritz:
+        assert np.min(np.abs(dense - lam)) < 1e-7
+
+
+@given(cases(grids=(GRIDS[1], GRIDS[3])))
+def test_real_and_complex_dense_eigenvalues_agree(case):
+    grid, ham = case
+    terms = tuple(replace(t, shift=0.0) for t in ham.symbol.terms)
+    ham = replace(ham, symbol=DispersionSymbol(terms))
+    complex_route = np.linalg.eigh(_assembled(grid, ham))[0]
+    real_route = dense_spectrum(ham, grid, grid.size).eigenvalues
+    radius = np.max(np.abs(complex_route))
+    assert np.max(np.abs(real_route - complex_route)) <= 1e-12 * radius
+
+
+@st.composite
+def symbol_cases(draw):
+    """A grid and a random symbol whose evenness is plain from its terms.
+
+    Coefficients are positive, shifts are zero or at least 0.01 in size, and
+    each kind appears at most once per axis, so no two shifted terms cancel.
+    """
+    grid = draw(st.sampled_from(GRIDS))
+    terms = draw(st.lists(st.builds(
+        SymbolTerm,
+        kind=st.sampled_from(("quadratic", "absolute", "constant")),
+        coefficient=st.floats(0.1, 2.0),
+        shift=st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01)),
+        axis=st.integers(0, grid.axes - 1),
+    ), min_size=1, max_size=6, unique_by=lambda t: (t.kind, t.axis)))
+    return grid, HamiltonianSpec(DispersionSymbol(tuple(terms)))
+
+
+@given(symbol_cases())
+def test_even_symbol_means_no_shifted_term(case):
+    grid, ham = case
+    unshifted = all(t.kind == "constant" or t.shift == 0.0 for t in ham.symbol.terms)
+    assert GridOperator(ham, grid).even_symbol is unshifted
 
 
 @given(cases(), st.integers(0, 2 ** 32 - 1), st.floats(-0.5, 0.5).filter(lambda dt: dt != 0))

@@ -2,12 +2,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from scatterlab.clusters import ClusterId
+import scatterlab.spectral as spectral
+from scatterlab.clusters import ClusterId, TWO_CLUSTERS
 from scatterlab.errors import SolverError, SpectralWindowError
+from scatterlab.experiments import (
+    PAIR_REFERENCE_GRID,
+    THRESHOLD_GRID,
+    dynamics_model,
+    pair_sector_hamiltonian,
+)
 from scatterlab.lattice import make_grid, random_state
 from scatterlab.model import ThreeBodyModel, default_model
 from scatterlab.operators import (
+    GridOperator,
     HamiltonianSpec,
     absolute_symbol,
     free_symbol,
@@ -112,6 +121,60 @@ def test_iterative_matches_dense(grid512):
     assert it.eigenvalues[0] == pytest.approx(dense.eigenvalues[0], abs=1e-8)
     for lam in it.eigenvalues:
         assert np.min(np.abs(dense.eigenvalues - lam)) < 1e-7
+
+
+@pytest.mark.parametrize("count", [-1, 0, 15, 16, 17])
+def test_iterative_lowest_rejects_a_count_out_of_range(count):
+    # one bound on both routes: real dsaupd would accept 15 = n - 1, complex znaupd not
+    grid = make_grid(1, 16, 4.0)
+    model = default_model()
+    for h in (model.subsystem(ClusterId.PHOTON_FREE), pair_sector_hamiltonian(model, 0.2)):
+        with pytest.raises(SolverError):
+            iterative_lowest(h, grid, count)
+
+
+def test_iterative_lowest_reaches_the_largest_count_on_both_routes():
+    grid = make_grid(1, 16, 4.0)
+    model = default_model()
+    for h in (model.subsystem(ClusterId.PHOTON_FREE), pair_sector_hamiltonian(model, 0.2)):
+        res = iterative_lowest(h, grid, grid.size - 2)
+        dense = dense_spectrum(h, grid, grid.size)
+        assert np.allclose(res.eigenvalues, dense.eigenvalues[:grid.size - 2], atol=1e-8)
+
+
+def test_iterative_lowest_wraps_arpack_no_convergence(monkeypatch):
+    def stalled(op, k, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                  np.empty((op.shape[0], 0)))
+
+    monkeypatch.setattr(spectral, "eigsh", stalled)
+    with pytest.raises(SolverError, match="No convergence"):
+        iterative_lowest(default_model().subsystem(ClusterId.PHOTON_FREE),
+                         make_grid(1, 64, 8.0), 2)
+
+
+def _solved_hamiltonians():
+    """Every Hamiltonian the checks and the benchmark solve, with its expected route."""
+    grid1, grid2 = make_grid(*THRESHOLD_GRID), make_grid(2, 128, 48.0)
+    ref_grid = make_grid(*PAIR_REFERENCE_GRID)
+    yield "free", HamiltonianSpec(free_symbol(), ()), grid2, True
+    for name, model in (("default", default_model()), ("dynamics", dynamics_model())):
+        yield f"{name}-full", model.full(), grid2, True
+        for a in TWO_CLUSTERS:
+            yield f"{name}-subsystem-{a}", model.subsystem(a), grid1, True
+        for s in (-1.0, -0.3, 0.0, 0.05, 0.7):
+            for a in (ClusterId.PHOTON_FREE, ClusterId.ELECTRON_FREE):
+                yield f"{name}-reduced-{a}-{s}", model.reduced(a, s), grid1, True
+            if s != 0.0:
+                yield (f"{name}-reduced-{ClusterId.PAIR_FREE}-{s}",
+                       model.reduced(ClusterId.PAIR_FREE, s), grid1, False)
+                yield f"{name}-pair-sector-{s}", pair_sector_hamiltonian(model, s), ref_grid, False
+
+
+@pytest.mark.parametrize("ham, grid, even", [pytest.param(h, g, e, id=label)
+                                             for label, h, g, e in _solved_hamiltonians()])
+def test_even_symbol_picks_the_real_route(ham, grid, even):
+    assert GridOperator(ham, grid).even_symbol is even
 
 
 def test_imag_time_deflation_reaches_excited():
