@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import CHART, ClusterId, coordinate, require_two_cluster
+from .clusters import CHART, ClusterId, _chart, coordinate, require_two_cluster
 from .errors import (
     BoundaryConcentrationError,
     ClusterError,
@@ -50,8 +50,8 @@ class ConjugateSpec:
     def __post_init__(self):
         if self.scope not in ("full", "internal", "external"):
             raise ClusterError(f"unknown conjugate scope {self.scope!r}")
-        if self.scope != "full" and self.cluster is not None and self.cluster not in CHART:
-            raise ClusterError("scoped conjugate requires a valid cluster")
+        if self.scope != "full" and self.cluster is not None:
+            _chart(self.cluster)
 
 
 FULL_A = ConjugateSpec("full")

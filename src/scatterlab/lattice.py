@@ -19,6 +19,8 @@ from .errors import GridError
 
 _DUMP_MAGIC = b"DSWF"
 _DUMP_VERSION = 1
+# version, particles, dims per particle, points per axis, half extent
+_DUMP_HEADER = struct.Struct("<IIIId")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -218,31 +220,40 @@ def write_wavefunction(path, wf: WaveFunction) -> None:
 
     All fields little-endian; amplitudes row-major in position order.
     """
-    header = _DUMP_MAGIC + struct.pack(
-        "<IIIId", _DUMP_VERSION, wf.grid.particles, wf.grid.dims_per_particle,
+    header = _DUMP_MAGIC + _DUMP_HEADER.pack(
+        _DUMP_VERSION, wf.grid.particles, wf.grid.dims_per_particle,
         wf.grid.points_per_axis, wf.grid.half_extent,
     )
-    flat = np.ravel(wf.values, order="C")
-    inter = np.empty(2 * flat.size, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(inter.tobytes())
+        fh.write(np.ascontiguousarray(wf.values, dtype="<c16").tobytes())
 
 
 def read_wavefunction(path) -> WaveFunction:
+    """Read a :func:`write_wavefunction` dump back, bit for bit.
+
+    A file that is not such a dump, is cut short anywhere, or runs past its
+    last amplitude raises :class:`GridError`.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DUMP_MAGIC:
-            raise GridError(f"bad magic {magic!r} in wavefunction dump")
-        version, particles, dims, n, half_extent = struct.unpack("<IIIId", fh.read(24))
-        if version != _DUMP_VERSION:
-            raise GridError(f"unsupported dump version {version}")
-        grid = GridSpec(particles=particles, points_per_axis=n,
-                        half_extent=half_extent, dims_per_particle=dims)
-        inter = np.frombuffer(fh.read(), dtype="<f8")
-    if inter.size != 2 * grid.size:
-        raise GridError("wavefunction dump truncated")
-    values = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
-    return WaveFunction(grid, values)
+        data = fh.read()
+    magic = data[:len(_DUMP_MAGIC)]
+    if magic != _DUMP_MAGIC[:len(magic)]:
+        raise GridError(f"bad magic {magic!r} in wavefunction dump")
+    start = len(_DUMP_MAGIC) + _DUMP_HEADER.size
+    if len(data) < start:
+        raise GridError(f"wavefunction dump truncated inside its {start}-byte header "
+                        f"({len(data)} bytes)")
+    version, particles, dims, n, half_extent = _DUMP_HEADER.unpack_from(data, len(_DUMP_MAGIC))
+    if version != _DUMP_VERSION:
+        raise GridError(f"unsupported dump version {version}")
+    grid = GridSpec(particles=particles, points_per_axis=n,
+                    half_extent=half_extent, dims_per_particle=dims)
+    body, expected = len(data) - start, 16 * grid.size
+    if body < expected:
+        raise GridError(f"wavefunction dump truncated: {body} of {expected} amplitude bytes")
+    if body > expected:
+        raise GridError(f"wavefunction dump has {body - expected} bytes after its "
+                        f"{grid.size} amplitudes")
+    values = np.frombuffer(data, dtype="<c16", count=grid.size, offset=start)
+    return WaveFunction(grid, values.reshape(grid.shape))

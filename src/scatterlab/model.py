@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clusters import ClusterId, INTERNAL_POTENTIALS, POTENTIAL_TAGS, require_two_cluster
+from .clusters import (ClusterId, INTERNAL_POTENTIALS, POTENTIAL_TAGS, _chart,
+                       require_two_cluster)
 from .lattice import GridSpec
 from .operators import (
     HamiltonianSpec,
@@ -55,6 +56,7 @@ class ThreeBodyModel:
 
     def truncated(self, a: ClusterId) -> HamiltonianSpec:
         """H_a = H0 + (potentials internal to a), on the two-particle grid."""
+        _chart(a)  # anything but a ClusterId raises ClusterError
         pots = tuple(
             (self.potential(name), POTENTIAL_TAGS[name]) for name in INTERNAL_POTENTIALS[a]
         )
@@ -62,6 +64,7 @@ class ThreeBodyModel:
 
     def intercluster(self, a: ClusterId) -> tuple[tuple[PotentialSpec, str], ...]:
         """I_a, the potentials the truncation drops."""
+        _chart(a)
         kept = set(INTERNAL_POTENTIALS[a])
         return tuple(
             (self.potential(name), POTENTIAL_TAGS[name])

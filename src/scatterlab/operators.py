@@ -10,6 +10,11 @@ minimal-image wrapped, single-particle coordinates are not.
 :class:`GridOperator` is the one place where a Hamiltonian's symbol and
 potential fields are built on a grid; every solver route applies H through
 :func:`apply_hamiltonian` with one such operator.
+
+The kernels here (:meth:`GridOperator.apply` and the Strang step
+:meth:`_Stepper.step`) write only into arrays they allocate themselves: each
+computes its FFTs and products in place in one fresh output array and never
+writes into its input.
 """
 
 from __future__ import annotations
@@ -297,11 +302,16 @@ class GridOperator:
         return self._even_symbol
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """``m(P)`` by unitary FFTs over the trailing grid axes, plus ``V`` pointwise."""
-        out = np.fft.ifftn(self.symbol * np.fft.fftn(values, axes=self._axes, norm="ortho"),
-                           axes=self._axes, norm="ortho")
+        """``m(P)`` by unitary FFTs over the trailing grid axes, plus ``V`` pointwise.
+
+        Both FFTs and the products run in the one array the forward FFT
+        allocates; ``values`` is only read.
+        """
+        out = np.fft.fftn(values, axes=self._axes, norm="ortho")
+        out *= self.symbol
+        np.fft.ifftn(out, axes=self._axes, norm="ortho", out=out)
         if self._has_potential:
-            out = out + self.potential * values
+            out += self.potential * values
         return out
 
     def bounds(self) -> tuple[float, float]:
@@ -314,7 +324,8 @@ class _Stepper:
     """Cached Strang factors exp(-z V/2) and exp(-z m(P)) of one grid operator.
 
     ``z = i dt`` steps the Schroedinger flow (``-i dt`` steps backward); a real
-    ``z = dt`` steps the imaginary-time flow.
+    ``z = dt`` steps the imaginary-time flow.  :meth:`step` reads ``values``
+    and computes the whole step in the one array it allocates.
     """
 
     def __init__(self, op: GridOperator, z: complex):
@@ -325,8 +336,12 @@ class _Stepper:
 
     def step(self, values: np.ndarray) -> np.ndarray:
         out = self.half_v * values
-        out = np.fft.ifftn(self.kinetic * np.fft.fftn(out))
-        return self.half_v * out
+        np.fft.fftn(out, out=out)
+        # spectrum times factor, in this operand order: complex products are not
+        # bitwise commutative
+        out *= self.kinetic
+        np.fft.ifftn(out, out=out)
+        return np.multiply(self.half_v, out, out=out)
 
 
 def apply_multiplier(wf: WaveFunction, symbol: DispersionSymbol) -> WaveFunction:

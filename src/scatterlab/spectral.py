@@ -430,17 +430,32 @@ def chebyshev_window_coefficients(e_lo: float, e_hi: float, width: float,
 
 def _clenshaw_apply(op: GridOperator, values: np.ndarray, coef: np.ndarray,
                     lo: float, hi: float) -> np.ndarray:
+    """sum_k coef[k] T_k(X) values, X = (2H - hi - lo)/(hi - lo), by the Clenshaw recurrence.
+
+    Each hop and each recurrence step accumulates into the array the hop
+    allocates; ``values`` and the previous iterates are only read.
+    """
     center = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
 
     def hop(v):
-        return (apply_hamiltonian(WaveFunction(op.grid, v), op).values - center * v) / half
+        out = center * v
+        np.subtract(apply_hamiltonian(WaveFunction(op.grid, v), op).values, out, out=out)
+        out /= half
+        return out
 
     b1 = np.zeros_like(values)
     b2 = np.zeros_like(values)
     for c in coef[:0:-1]:
-        b1, b2 = c * values + 2.0 * hop(b1) - b2, b1
-    return coef[0] * values + hop(b1) - b2
+        b = hop(b1)
+        b *= 2.0
+        b += c * values
+        b -= b2
+        b1, b2 = b, b1
+    out = hop(b1)
+    out += coef[0] * values
+    out -= b2
+    return out
 
 
 def spectral_filter(wf: WaveFunction, ham: HamiltonianSpec, window: tuple[float, float],

@@ -9,6 +9,7 @@ from scatterlab.clusters import (
     coordinate,
     require_two_cluster,
 )
+from scatterlab.commutators import ConjugateSpec
 from scatterlab.errors import ClusterError
 from scatterlab.model import default_model
 
@@ -67,11 +68,15 @@ def test_unknown_coordinate_tag_raises():
         coordinate("x*y", 1.0, 2.0)
 
 
-@pytest.mark.parametrize("a", ["(xy)(0)", None, 2])
+@pytest.mark.parametrize("a", ["(xy)(0)", None, 2, pytest.param(["x"], id="list")])
 def test_anything_but_a_cluster_id_raises_cluster_error(a):
     model = default_model()
-    for call in (lambda: cluster_count(a), lambda: require_two_cluster(a),
-                 lambda: cluster_coordinates(a, (1.0, 0.5)),
-                 lambda: model.subsystem(a), lambda: model.reduced(a, 0.3)):
+    calls = [lambda: cluster_count(a), lambda: require_two_cluster(a),
+             lambda: cluster_coordinates(a, (1.0, 0.5)),
+             lambda: model.subsystem(a), lambda: model.reduced(a, 0.3),
+             lambda: model.truncated(a), lambda: model.intercluster(a)]
+    if a is not None:  # a scoped conjugate without a cluster is the one-particle dilation
+        calls.append(lambda: ConjugateSpec("internal", a))
+    for call in calls:
         with pytest.raises(ClusterError):
             call()

@@ -4,20 +4,25 @@ Symbols are random sums of quadratic, absolute and constant terms (shifts
 included); potentials are random Poschl-Teller or Gaussian wells on every
 coordinate the grid offers.  Shifted and unshifted symbols together reach
 both arithmetic routes of the dense and Lanczos solvers: real symmetric for
-an even symbol, complex Hermitian otherwise.  The cluster chart is checked to
-be invertible on random points.  The hypothesis profile in conftest.py keeps
-the examples deterministic.
+an even symbol, complex Hermitian otherwise.  The H-apply, the Strang step
+and the Chebyshev recurrence are checked never to write into their input.
+The cluster chart is checked to be invertible on random points, and ``.dswf``
+dumps to round-trip bit for bit and to reject cut or padded files.  The
+hypothesis profile in conftest.py keeps the examples deterministic.
 """
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from scatterlab.clusters import CHART, ClusterId, cluster_coordinates, cluster_count
-from scatterlab.errors import SolverError
-from scatterlab.lattice import WaveFunction, make_grid
+from scatterlab.errors import GridError, SolverError
+from scatterlab.lattice import WaveFunction, make_grid, read_wavefunction, write_wavefunction
 from scatterlab.operators import (
     DispersionSymbol,
     GridOperator,
@@ -28,7 +33,12 @@ from scatterlab.operators import (
     gaussian_well,
     poschl_teller,
 )
-from scatterlab.spectral import dense_spectrum, iterative_lowest
+from scatterlab.spectral import (
+    _clenshaw_apply,
+    chebyshev_window_coefficients,
+    dense_spectrum,
+    iterative_lowest,
+)
 
 GRIDS = (make_grid(1, 32, 6.0), make_grid(1, 64, 8.0), make_grid(2, 8, 4.0),
          make_grid(2, 16, 6.0))
@@ -189,6 +199,51 @@ def test_backward_strang_step_inverts_a_forward_step(case, seed, dt):
     values = _states(grid, seed)
     there_and_back = _Stepper(op, -1j * dt).step(_Stepper(op, 1j * dt).step(values))
     assert _norm(grid, there_and_back - values) <= 1e-12 * _norm(grid, values)
+
+
+@given(cases(), st.integers(0, 2 ** 32 - 1), st.floats(0.001, 0.5))
+def test_no_kernel_writes_into_its_input(case, seed, dt):
+    grid, ham = case
+    op = GridOperator(ham, grid)
+    lo, hi = op.bounds()
+    lo, hi = lo - 1.0, hi + 1.0
+    coef = chebyshev_window_coefficients(lo + 0.5, lo + 1.5, 0.1, lo, hi, 16)
+    kernels = (op.apply, _Stepper(op, 1j * dt).step, _Stepper(op, dt).step,
+               lambda v: _clenshaw_apply(op, v, coef, lo, hi))
+    values = _states(grid, seed)
+    for kernel in kernels:
+        given_values = values.copy()  # writable, as ARPACK's workspace vectors are
+        kernel(given_values)
+        assert np.array_equal(given_values, values)
+
+
+DUMP_GRIDS = (make_grid(1, 8, 2.0), make_grid(1, 16, 3.0), make_grid(2, 8, 4.0))
+
+
+@st.composite
+def dumps(draw):
+    """A grid and amplitudes of any bit pattern: NaN, infinities and -0.0 included."""
+    grid = draw(st.sampled_from(DUMP_GRIDS))
+    parts = draw(st.lists(st.floats(), min_size=2 * grid.size, max_size=2 * grid.size))
+    return WaveFunction(grid, np.array(parts).view(np.complex128).reshape(grid.shape))
+
+
+@given(dumps(), st.binary(min_size=1, max_size=40))
+def test_dswf_dump_round_trips_and_rejects_cut_or_padded_files(wf, tail):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.dswf"
+        write_wavefunction(path, wf)
+        raw = path.read_bytes()
+        back = read_wavefunction(path)
+        assert back.grid == wf.grid
+        assert back.values.tobytes() == wf.values.tobytes()
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(GridError):
+                read_wavefunction(path)
+        path.write_bytes(raw + tail)
+        with pytest.raises(GridError):
+            read_wavefunction(path)
 
 
 @given(st.sampled_from(list(ClusterId)), st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
