@@ -14,7 +14,9 @@ potential fields are built on a grid; every solver route applies H through
 The kernels here (:meth:`GridOperator.apply` and the Strang step
 :meth:`_Stepper.step`) write only into arrays they allocate themselves: each
 computes its FFTs and products in place in one fresh output array and never
-writes into its input.
+writes into its input.  On a one-axis grid they call ``np.fft.fft``/``ifft``
+rather than ``fftn``/``ifftn``: the same pocketfft kernel and the same bits,
+without the n-D wrapper's per-call argument handling.
 """
 
 from __future__ import annotations
@@ -291,6 +293,7 @@ class GridOperator:
         for field in (self.symbol, self.potential):
             field.setflags(write=False)
         self._axes = tuple(range(-grid.axes, 0))
+        self._one_axis = grid.axes == 1
         self._has_potential = bool(np.any(self.potential))
         # k -> -k maps FFT index j to -j mod N on every axis: flip, then roll by one
         mirror = np.roll(np.flip(self.symbol), 1, axis=tuple(range(self.symbol.ndim)))
@@ -305,11 +308,17 @@ class GridOperator:
         """``m(P)`` by unitary FFTs over the trailing grid axes, plus ``V`` pointwise.
 
         Both FFTs and the products run in the one array the forward FFT
-        allocates; ``values`` is only read.
+        allocates; ``values`` is only read.  A one-axis grid uses ``fft``/``ifft``
+        along the last axis, bit-identical to the one-axis ``fftn``/``ifftn``.
         """
-        out = np.fft.fftn(values, axes=self._axes, norm="ortho")
-        out *= self.symbol
-        np.fft.ifftn(out, axes=self._axes, norm="ortho", out=out)
+        if self._one_axis:
+            out = np.fft.fft(values, norm="ortho")
+            out *= self.symbol
+            np.fft.ifft(out, norm="ortho", out=out)
+        else:
+            out = np.fft.fftn(values, axes=self._axes, norm="ortho")
+            out *= self.symbol
+            np.fft.ifftn(out, axes=self._axes, norm="ortho", out=out)
         if self._has_potential:
             out += self.potential * values
         return out
@@ -325,7 +334,8 @@ class _Stepper:
 
     ``z = i dt`` steps the Schroedinger flow (``-i dt`` steps backward); a real
     ``z = dt`` steps the imaginary-time flow.  :meth:`step` reads ``values``
-    and computes the whole step in the one array it allocates.
+    and computes the whole step in the one array it allocates, with
+    ``fft``/``ifft`` when that array has one axis and ``fftn``/``ifftn`` otherwise.
     """
 
     def __init__(self, op: GridOperator, z: complex):
@@ -336,11 +346,12 @@ class _Stepper:
 
     def step(self, values: np.ndarray) -> np.ndarray:
         out = self.half_v * values
-        np.fft.fftn(out, out=out)
+        fft, ifft = (np.fft.fft, np.fft.ifft) if out.ndim == 1 else (np.fft.fftn, np.fft.ifftn)
+        fft(out, out=out)
         # spectrum times factor, in this operand order: complex products are not
         # bitwise commutative
         out *= self.kinetic
-        np.fft.ifftn(out, out=out)
+        ifft(out, out=out)
         return np.multiply(self.half_v, out, out=out)
 
 

@@ -1,7 +1,8 @@
 """Eigenvalue computation, thresholds, fibered dispersion scans, and filtering.
 
 Three solver routes: a dense oracle (grid operator assembled column by column
-and handed to LAPACK, feasible up to 4096 lattice sites), an imaginary-time
+and handed to LAPACK's MRRR solver, which computes only the lowest ``count``
+eigenpairs; feasible up to 4096 lattice sites), an imaginary-time
 Rayleigh-quotient descent with deflation, and a Lanczos subspace route via
 scipy for grids past the dense limit.  The dense route is the reference all
 other numbers are checked against.  Every route builds one
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .clusters import ClusterId, TWO_CLUSTERS
@@ -32,6 +34,10 @@ from .model import ThreeBodyModel
 from .operators import GridOperator, HamiltonianSpec, _Stepper, apply_hamiltonian
 
 DENSE_LIMIT = 4096
+
+# H-applies one ARPACK run may spend before it gives up: at least 10x the most
+# any check or benchmark solve takes (840, the k = 40 deflation on 128^2)
+ARPACK_MATVEC_LIMIT = 10_000
 
 # matching tolerance for "E is a threshold", set by the dense-oracle residual floor
 THRESHOLD_MATCH_TOL = 1e-9
@@ -77,9 +83,11 @@ def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenRes
     """Lowest ``count`` eigenpairs of the exact grid operator.
 
     The matrix is assembled by applying the Hamiltonian to every lattice basis
-    vector, then symmetrized against roundoff and diagonalized.  When the
-    symbol is even (:attr:`GridOperator.even_symbol`: no non-constant symbol
-    term is shifted), H is real symmetric: only the real part of each column
+    vector and symmetrized against roundoff; LAPACK's MRRR solver
+    (``scipy.linalg.eigh`` with ``subset_by_index``) then computes only the
+    lowest ``count`` eigenpairs, overwriting the matrix.  When the symbol is
+    even (:attr:`GridOperator.even_symbol`: no non-constant symbol term is
+    shifted), H is real symmetric: only the real part of each column
     is kept and real ``eigh`` runs on half the memory; otherwise the matrix
     is complex Hermitian.
     """
@@ -101,8 +109,8 @@ def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenRes
         mat[:, j] = column.real.ravel() if real else column.ravel()
         basis[j] = 0.0
     mat = (mat + (mat.T if real else mat.conj().T)) / 2.0  # conj() of a real matrix is a copy
-    evals, evecs = np.linalg.eigh(mat)
-    return _eigen_result(op, evals[:count], evecs, range(count), "dense", 1e-9)
+    evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, count - 1], overwrite_a=True)
+    return _eigen_result(op, evals, evecs, range(count), "dense", 1e-9)
 
 
 def iterative_lowest(ham: HamiltonianSpec, grid: GridSpec, count: int,
@@ -112,23 +120,30 @@ def iterative_lowest(ham: HamiltonianSpec, grid: GridSpec, count: int,
     The matrix-free grid operator runs as symmetric Lanczos (``dsaupd``) on
     real vectors when the symbol is even (:attr:`GridOperator.even_symbol`),
     and as complex Arnoldi (``znaupd``) otherwise.  A count out of range, a
-    run that does not converge and any other ARPACK failure raise
-    :class:`SolverError`.
+    run that has not converged within ``ARPACK_MATVEC_LIMIT`` H-applies and
+    any other ARPACK failure raise :class:`SolverError`.
     """
     n = grid.size
     if not 1 <= count <= n - 2:
         raise SolverError(f"count must be in [1, {n - 2}]")
     op = GridOperator(ham, grid)
     real = op.even_symbol
+    applies = 0
 
     def matvec(v):
+        nonlocal applies
+        applies += 1
+        if applies > ARPACK_MATVEC_LIMIT:
+            raise SolverError(f"ARPACK did not converge within {ARPACK_MATVEC_LIMIT} H-applies")
         hv = apply_hamiltonian(WaveFunction(grid, v.reshape(grid.shape)), op).values.reshape(-1)
         return hv.real if real else hv
 
     lin_op = LinearOperator((n, n), dtype=np.float64 if real else np.complex128, matvec=matvec)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        evals, evecs = eigsh(lin_op, k=count, which="SA", tol=tol, v0=v0, maxiter=5000)
+        # every restart costs at least one matvec, so the apply budget binds first
+        evals, evecs = eigsh(lin_op, k=count, which="SA", tol=tol, v0=v0,
+                             maxiter=ARPACK_MATVEC_LIMIT)
     except ArpackError as exc:  # no convergence, or H v0 = 0 for the zero operator
         raise SolverError(f"ARPACK failed on the grid operator: {exc}") from exc
     order = np.argsort(evals)

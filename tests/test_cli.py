@@ -1,13 +1,18 @@
+import contextlib
 import glob
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scatterlab import experiments as xp
-from scatterlab.cli import (EXPERIMENTS, _parse_ini, main, parse_cutoffs, parse_grid,
-                            parse_model, parse_window, serialize_config)
-from scatterlab.errors import ConfigError, HypothesisError
+from scatterlab.cli import (_SCHEMA, EXPERIMENTS, _parse_ini, main, parse_cutoffs,
+                            parse_grid, parse_model, parse_window, serialize_config)
+from scatterlab.errors import ConfigError, HypothesisError, ScatterError
 
 THRESHOLDS_INI = """
 [experiment]
@@ -123,6 +128,57 @@ def test_unknown_section_rejected(tmp_path):
     cfg = _write(tmp_path, THRESHOLDS_INI + "\n[mystery]\nkey = 1\n")
     with pytest.raises(ConfigError):
         _parse_ini(cfg)
+
+
+@pytest.mark.parametrize("raw", [
+    THRESHOLDS_INI.replace("points = 256", "points = 5%").encode(),
+    THRESHOLDS_INI.replace("seed = 7", "seed = %(x)s").encode(),
+    THRESHOLDS_INI.encode().replace(b"= poschl_teller", b"= poschl\xff\xfe"),
+], ids=["percent", "interpolation", "not-utf8"])
+def test_malformed_value_is_a_config_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "config.ini"
+    cfg.write_bytes(raw)
+    assert main(["thresholds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+_VALUES = st.one_of(
+    st.sampled_from(("1", "0", "-1", "8", "256", "16.0", "1e999", "nan", "0x10", "5%",
+                     "%(x)s", "%%", "zero", "poschl_teller", "gaussian_well", "tabulated")),
+    st.integers().map(str), st.floats().map(str), st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.builds("[{}]".format, st.one_of(st.sampled_from((*_SCHEMA, "DEFAULT")),
+                                      st.text(max_size=8))),
+    st.builds("{} = {}".format,
+              st.one_of(st.sampled_from(sorted(set().union(*_SCHEMA.values()))),
+                        st.text(max_size=8)),
+              _VALUES),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def ini_files(draw):
+    """INI-like bytes: schema sections and keys with odd values, stray text and raw bytes."""
+    raw = "\n".join(draw(st.lists(_LINES, max_size=12))).encode("utf-8", "surrogatepass")
+    cut = draw(st.integers(0, len(raw)))
+    return raw[:cut] + draw(st.binary(max_size=3)) + raw[cut:]
+
+
+@given(ini_files())
+def test_config_readers_raise_only_scatter_errors(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.ini"
+        path.write_bytes(raw)
+        try:
+            cp = _parse_ini(str(path))
+        except ConfigError:
+            assert main(["thresholds", "--config", str(path), "--out", tmp]) == 2
+            return
+        for parse in (parse_model, parse_grid, parse_window, parse_cutoffs):
+            with contextlib.suppress(ScatterError):
+                parse(cp)
 
 
 def test_experiment_name_mismatch(tmp_path):

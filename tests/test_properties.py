@@ -4,7 +4,9 @@ Symbols are random sums of quadratic, absolute and constant terms (shifts
 included); potentials are random Poschl-Teller or Gaussian wells on every
 coordinate the grid offers.  Shifted and unshifted symbols together reach
 both arithmetic routes of the dense and Lanczos solvers: real symmetric for
-an even symbol, complex Hermitian otherwise.  The H-apply, the Strang step
+an even symbol, complex Hermitian otherwise.  The dense subset solve is
+checked against a full ``eigh``, and the one-axis H-apply and Strang step
+against the same kernels on ``fftn``/``ifftn``.  The H-apply, the Strang step
 and the Chebyshev recurrence are checked never to write into their input.
 The cluster chart is checked to be invertible on random points, and ``.dswf``
 dumps to round-trip bit for bit and to reject cut or padded files.  The
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -126,11 +129,59 @@ def _even(grid, ham):
 def test_dense_spectrum_equals_column_by_column_assembly(case):
     grid, ham = case
     mat = _assembled(grid, ham)
-    # with an even symbol H is real symmetric and the dense route runs real eigh
-    reference = np.linalg.eigh(mat.real if _even(grid, ham) else mat)[0]
     count = 4
+    # with an even symbol H is real symmetric and the dense route runs real eigh
+    reference = scipy.linalg.eigh(mat.real if _even(grid, ham) else mat,
+                                  subset_by_index=[0, count - 1])[0]
     res = dense_spectrum(ham, grid, count)
-    assert np.array_equal(res.eigenvalues, reference[:count])
+    assert np.array_equal(res.eigenvalues, reference)
+
+
+@given(cases(), st.sampled_from((1, 4, None)))
+def test_dense_subset_solve_matches_the_full_eigh(case, count):
+    grid, ham = case
+    count = count or grid.size
+    full_values, full_vectors = np.linalg.eigh(_assembled(grid, ham))
+    res = dense_spectrum(ham, grid, count)
+    radius = np.max(np.abs(full_values))
+    assert np.max(np.abs(res.eigenvalues - full_values[:count])) <= 1e-12 * radius
+    # unit columns; inside a degenerate eigenspace only the span is determined
+    vecs = np.array([v.values.reshape(-1) for v in res.eigenvectors]).T * np.sqrt(grid.measure)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(count))) <= 1e-10
+    assert np.max(res.residuals) <= 1e-10 * max(1.0, radius)
+    gap = full_values[count] - full_values[count - 1] if count < grid.size else np.inf
+    if gap > 1e-3 * max(1.0, radius):  # the lowest `count` pairs span a well-defined subspace
+        ref = full_vectors[:, :count]
+        assert np.max(np.abs(vecs @ vecs.conj().T - ref @ ref.conj().T)) <= 1e-8
+
+
+@given(cases(grids=tuple(g for g in GRIDS if g.axes == 1)), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.001, 0.5))
+def test_one_axis_kernels_equal_the_n_d_fft_kernels(case, seed, dt):
+    grid, ham = case
+    op = GridOperator(ham, grid)
+
+    def apply_fftn(values):
+        out = np.fft.fftn(values, axes=(-1,), norm="ortho")
+        out *= op.symbol
+        np.fft.ifftn(out, axes=(-1,), norm="ortho", out=out)
+        if np.any(op.potential):
+            out += op.potential * values
+        return out
+
+    def step_fftn(stepper, values):
+        out = stepper.half_v * values
+        np.fft.fftn(out, out=out)
+        out *= stepper.kinetic
+        np.fft.ifftn(out, out=out)
+        return np.multiply(stepper.half_v, out, out=out)
+
+    one, stack = _states(grid, seed), _states(grid, seed, 3)
+    assert np.array_equal(op.apply(one), apply_fftn(one))
+    assert np.array_equal(op.apply(stack), apply_fftn(stack))
+    for z in (1j * dt, dt):
+        stepper = _Stepper(op, z)
+        assert np.array_equal(stepper.step(one), step_fftn(stepper, one))
 
 
 @given(cases(grids=(GRIDS[1], GRIDS[3])))

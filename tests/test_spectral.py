@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,10 @@ from scatterlab.experiments import (
 from scatterlab.lattice import make_grid, random_state
 from scatterlab.model import ThreeBodyModel, default_model
 from scatterlab.operators import (
+    DispersionSymbol,
     GridOperator,
     HamiltonianSpec,
+    SymbolTerm,
     absolute_symbol,
     free_symbol,
     poschl_teller,
@@ -25,6 +28,7 @@ from scatterlab.operators import (
     zero_potential,
 )
 from scatterlab.spectral import (
+    ARPACK_MATVEC_LIMIT,
     ThresholdTable,
     _smooth_window,
     chebyshev_window_coefficients,
@@ -151,6 +155,21 @@ def test_iterative_lowest_wraps_arpack_no_convergence(monkeypatch):
     with pytest.raises(SolverError, match="No convergence"):
         iterative_lowest(default_model().subsystem(ClusterId.PHOTON_FREE),
                          make_grid(1, 64, 8.0), 2)
+
+
+def test_iterative_lowest_gives_up_on_an_unresolvable_cluster_within_its_budget(monkeypatch):
+    # the 16 lowest eigenvalues lie within 2e-9 of each other, far below the
+    # spectral width, so no restart converges
+    h = HamiltonianSpec(DispersionSymbol((SymbolTerm("quadratic", 0.332, 0.628, 0),
+                                          SymbolTerm("quadratic", 1e-10, 0.0, 1))))
+    apply, applies = spectral.apply_hamiltonian, []
+    monkeypatch.setattr(spectral, "apply_hamiltonian",
+                        lambda wf, op: applies.append(1) or apply(wf, op))
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match="did not converge"):
+        iterative_lowest(h, make_grid(2, 16, 8.0), 3)
+    assert time.perf_counter() - start < 5.0
+    assert len(applies) == ARPACK_MATVEC_LIMIT
 
 
 def _solved_hamiltonians():
