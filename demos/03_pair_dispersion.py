@@ -21,7 +21,7 @@ from scatterlab.spectral import iterative_lowest, quadratic_fit
 model = default_model()
 grid = make_grid(1, 512, 32.0)
 svals = np.array([0.0, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3])
-curve = dispersion_scan(model, grid, svals, tol=1e-9)
+curve = dispersion_scan(model, grid, svals)
 ref_grid = make_grid(*PAIR_REFERENCE_GRID)
 reference = np.array([
     iterative_lowest(pair_sector_hamiltonian(model, s), ref_grid, 1, tol=1e-12).eigenvalues[0]

@@ -81,7 +81,6 @@ from .spectral import (
     dense_spectrum,
     dispersion_scan,
     distance_to_threshold,
-    ground_state_imag_time,
     iterative_lowest,
     spectral_filter,
     threshold_table,

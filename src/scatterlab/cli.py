@@ -24,7 +24,7 @@ import numpy as np
 from . import experiments as xp
 from . import io as sio
 from .clusters import ClusterId, TWO_CLUSTERS
-from .errors import ChecksSkippedError, ConfigError, ScatterError
+from .errors import ChecksSkippedError, ConfigError, GridError, PotentialError, ScatterError
 from .lattice import make_grid, gaussian_packet, write_wavefunction
 from .model import ThreeBodyModel
 from .operators import PotentialSpec
@@ -66,7 +66,7 @@ _SCHEMA = {
     "window": {"lo", "hi", "energy", "mu", "samples", "count", "boundary_tol"},
     "cutoffs": {"delta", "eps", "smoothing"},
     "schedule": {"times", "dt", "horizon", "boundary_limit"},
-    "dispersion": {"s_values", "tol"},
+    "dispersion": {"s_values"},
     "partition": {"width"},
     "packet": {"center", "momentum", "width", "axis_momenta"},
     "output": {"directory"},
@@ -127,22 +127,28 @@ def parse_model(cp) -> ThreeBodyModel:
     pots = {}
     for name in ("v12", "v13", "v23"):
         family = _get(cp, "model", f"{name}_family", str, default="zero")
-        pots[name] = PotentialSpec(
-            family=family,
-            strength=_get(cp, "model", f"{name}_strength", float, default=0.0),
-            width=_get(cp, "model", f"{name}_width", float, default=1.0),
-            center=_get(cp, "model", f"{name}_center", float, default=0.0),
-        )
+        try:
+            pots[name] = PotentialSpec(
+                family=family,
+                strength=_get(cp, "model", f"{name}_strength", float, default=0.0),
+                width=_get(cp, "model", f"{name}_width", float, default=1.0),
+                center=_get(cp, "model", f"{name}_center", float, default=0.0),
+            )
+        except PotentialError as exc:
+            raise ConfigError(f"[model] {name}: {exc}") from exc
     return ThreeBodyModel(**pots)
 
 
 def parse_grid(cp):
     _require_section(cp, "grid")
-    return make_grid(
-        _get(cp, "grid", "particles", int, required=True),
-        _get(cp, "grid", "points", int, required=True),
-        _get(cp, "grid", "half_extent", float, required=True),
-    )
+    try:
+        return make_grid(
+            _get(cp, "grid", "particles", int, required=True),
+            _get(cp, "grid", "points", int, required=True),
+            _get(cp, "grid", "half_extent", float, required=True),
+        )
+    except GridError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
 
 
 def parse_cutoffs(cp) -> CutoffSpec:
@@ -213,8 +219,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         grid = parse_grid(cp)
         _require_section(cp, "dispersion")
         svals = _float_list(_get(cp, "dispersion", "s_values", str, required=True))
-        tol = _get(cp, "dispersion", "tol", float, default=1e-8)
-        curve = dispersion_scan(model, grid, svals, tol=tol)
+        curve = dispersion_scan(model, grid, svals)
         rows = [(s, l, l - s * s, r, bool(f)) for s, l, r, f in
                 zip(curve.s_values, curve.lambdas, curve.residuals, curve.flagged)]
         sio.write_csv(out(""), ("s", "lambda", "lambda_minus_s2", "residual", "flagged"),

@@ -18,11 +18,7 @@ class PotentialError(ScatterError):
 
 
 class SolverError(ScatterError):
-    """Eigensolver failed to converge; carries the best residual seen."""
-
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """Eigensolver failed, or returned eigenpairs whose residuals are too large."""
 
 
 class SpectralWindowError(ScatterError):

@@ -51,7 +51,6 @@ from .spectral import (
     ThresholdTable,
     dense_spectrum,
     dispersion_scan,
-    ground_state_imag_time,
     iterative_lowest,
     localized_eigenvectors,
     quadratic_fit,
@@ -238,7 +237,7 @@ def check_pair_dispersion(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult
     model = default_model()
     grid = make_grid(1, 512, 32.0)
     svals = (0.0, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2)
-    curve = dispersion_scan(model, grid, svals, tol=1e-8)
+    curve = dispersion_scan(model, grid, svals)
     ref_grid = make_grid(*PAIR_REFERENCE_GRID)
     reference = np.array([
         iterative_lowest(pair_sector_hamiltonian(model, s), ref_grid, 1,
@@ -324,8 +323,8 @@ def check_virial(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
         res = dense_spectrum(h, grid, 8)
         pairs = [(lam, vec, "dense") for lam, vec in zip(res.eigenvalues, res.eigenvectors)
                  if lam < -1e-6]
-        ground = ground_state_imag_time(h, grid, tol=1e-9)
-        pairs.append((ground.eigenvalues[0], ground.eigenvectors[0], "imaginary-time"))
+        ground = iterative_lowest(h, grid, 1)
+        pairs.append((ground.eigenvalues[0], ground.eigenvectors[0], "lanczos"))
         for lam, vec, method in pairs:
             # the |k|-kinetic bound states have power-law tails, so the strict
             # boundary-concentration default is relaxed; the lattice virial
@@ -784,7 +783,7 @@ def _determinism_pass(seed: int, out_dir: str) -> list[str]:
     rows.append(("zero", 0.0))
     sio.write_csv(os.path.join(out_dir, "thresholds.csv"), ("cluster", "threshold"), rows)
     files.append(os.path.join(out_dir, "thresholds.csv"))
-    curve = dispersion_scan(model, make_grid(1, 256, 16.0), (0.0, 0.1, -0.1), tol=1e-7)
+    curve = dispersion_scan(model, make_grid(1, 256, 16.0), (0.0, 0.1, -0.1))
     sio.write_csv(os.path.join(out_dir, "dispersion.csv"),
                   ("s", "lambda", "lambda_minus_s2", "residual", "flagged"),
                   [(s, l, l - s * s, r, bool(f)) for s, l, r, f in

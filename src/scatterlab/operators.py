@@ -332,8 +332,8 @@ class GridOperator:
 class _Stepper:
     """Cached Strang factors exp(-z V/2) and exp(-z m(P)) of one grid operator.
 
-    ``z = i dt`` steps the Schroedinger flow (``-i dt`` steps backward); a real
-    ``z = dt`` steps the imaginary-time flow.  :meth:`step` reads ``values``
+    ``z = i dt`` steps the Schroedinger flow forward and ``z = -i dt``
+    backward.  :meth:`step` reads ``values``
     and computes the whole step in the one array it allocates, with
     ``fft``/``ifft`` when that array has one axis and ``fftn``/``ifftn`` otherwise.
     """

@@ -2,11 +2,10 @@
 
 Both split factors are exact complex phases on the lattice, so each step is
 unitary to roundoff; accuracy in dt is second order.  The step is
-:class:`~scatterlab.operators._Stepper` with z = i dt, the one the
-imaginary-time solver runs with a real z.  The dynamical
-experiments (local decay, minimal velocity, channel cutoffs, approximate wave
-operators, completeness defect) are compositions of evolution, spectral
-filtering, and smoothed position cutoffs.
+:class:`~scatterlab.operators._Stepper` with z = i dt, or z = -i dt for a
+backward march.  The dynamical experiments (local decay, minimal velocity,
+channel cutoffs, approximate wave operators, completeness defect) are
+compositions of evolution, spectral filtering, and smoothed position cutoffs.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Eigenvalue computation, thresholds, fibered dispersion scans, and filtering.
 
-Three solver routes: a dense oracle (grid operator assembled column by column
+Two solver routes: a dense oracle (grid operator assembled column by column
 and handed to LAPACK's MRRR solver, which computes only the lowest ``count``
-eigenpairs; feasible up to 4096 lattice sites), an imaginary-time
-Rayleigh-quotient descent with deflation, and a Lanczos subspace route via
-scipy for grids past the dense limit.  The dense route is the reference all
-other numbers are checked against.  Every route builds one
+eigenpairs; feasible up to 4096 lattice sites), and a Lanczos subspace route
+via scipy for grids past the dense limit.  The dense route is the reference
+all other numbers are checked against; for a Hermitian matrix each returned
+eigenvalue lies within its residual ||H psi - lambda psi|| of the spectrum,
+which is how thresholds are certified.  Every route builds one
 :class:`~scatterlab.operators.GridOperator` and applies H through
 :func:`~scatterlab.operators.apply_hamiltonian`, one state per call.
 
@@ -29,9 +30,9 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .clusters import ClusterId, TWO_CLUSTERS
 from .errors import SolverError, SpectralWindowError
-from .lattice import GridSpec, WaveFunction, gaussian_packet
+from .lattice import GridSpec, WaveFunction
 from .model import ThreeBodyModel
-from .operators import GridOperator, HamiltonianSpec, _Stepper, apply_hamiltonian
+from .operators import GridOperator, HamiltonianSpec, apply_hamiltonian
 
 DENSE_LIMIT = 4096
 
@@ -39,7 +40,8 @@ DENSE_LIMIT = 4096
 # any check or benchmark solve takes (840, the k = 40 deflation on 128^2)
 ARPACK_MATVEC_LIMIT = 10_000
 
-# matching tolerance for "E is a threshold", set by the dense-oracle residual floor
+# matching tolerance for "E is a threshold", and the largest residual a threshold
+# eigenpair may carry; the dense residuals on THRESHOLD_GRID stay below 3.3e-13
 THRESHOLD_MATCH_TOL = 1e-9
 
 # d(E) below every threshold (the constant b); any positive value is admissible
@@ -59,13 +61,6 @@ class EigenResult:
     def __post_init__(self):
         if np.any(np.diff(self.eigenvalues) < -1e-12):
             raise SolverError("eigenvalues not ascending")
-
-
-def project_out(values: np.ndarray, vectors, measure: float) -> np.ndarray:
-    """Remove, one after another, the components along orthonormal WaveFunctions."""
-    for other in vectors:
-        values = values - other.values * (measure * np.vdot(other.values, values))
-    return values
 
 
 def _eigen_result(op: GridOperator, evals: np.ndarray, evecs: np.ndarray, columns,
@@ -94,10 +89,7 @@ def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenRes
     op = GridOperator(ham, grid)
     n = grid.size
     if n > DENSE_LIMIT:
-        raise SolverError(
-            f"grid has {n} sites > {DENSE_LIMIT}; use iterative_lowest or "
-            "ground_state_imag_time instead"
-        )
+        raise SolverError(f"grid has {n} sites > {DENSE_LIMIT}; use iterative_lowest instead")
     if not 1 <= count <= n:
         raise SolverError(f"count must be in [1, {n}]")
     real = op.even_symbol
@@ -150,120 +142,6 @@ def iterative_lowest(ham: HamiltonianSpec, grid: GridSpec, count: int,
     return _eigen_result(op, evals[order], evecs, order, "iterative-subspace", tol)
 
 
-def _krylov_polish(op: GridOperator, vals: np.ndarray, deflate):
-    """Rayleigh-Ritz in the (at most 32-dimensional) Krylov space of the current iterate.
-
-    The split flow converges to a dt-dependent fixed point, so its residual
-    plateaus; a small subspace solve around the plateau vector removes the
-    splitting bias without touching the operator.
-    """
-    grid = op.grid
-    basis, hbasis = [], []
-    w = vals / np.sqrt(grid.measure * np.sum(np.abs(vals) ** 2))
-    for _ in range(32):
-        w = project_out(w, deflate, grid.measure)
-        for _pass in range(2):  # reorthogonalize; one pass loses the small components
-            for b in basis:
-                w = w - b * (grid.measure * np.vdot(b, w))
-        nrm = np.sqrt(grid.measure * np.sum(np.abs(w) ** 2))
-        if nrm < 1e-13:
-            break
-        w = w / nrm
-        basis.append(w)
-        w = apply_hamiltonian(WaveFunction(grid, w), op).values
-        hbasis.append(w)
-    if not basis:
-        raise SolverError("imaginary-time flow collapsed; all mass deflated away")
-    basis = np.array(basis)
-    hmat = grid.measure * (basis.reshape(len(basis), -1).conj()
-                           @ np.array(hbasis).reshape(len(basis), -1).T)
-    hmat = (hmat + hmat.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(hmat)
-    out = project_out(np.tensordot(evecs[:, 0], basis, axes=1), deflate, grid.measure)
-    nrm = np.sqrt(grid.measure * np.sum(np.abs(out) ** 2))
-    return out / nrm, float(evals[0])
-
-
-def ground_state_imag_time(ham: HamiltonianSpec, grid: GridSpec, tol: float = 1e-8,
-                           deflate: tuple[WaveFunction, ...] = ()) -> EigenResult:
-    """Variational ground state by split-step imaginary-time descent.
-
-    Starting from a centered Gaussian, runs the Strang-split flow
-    exp(-dt V/2) exp(-dt m(P)) exp(-dt V/2) with renormalization, from
-    dt = 0.2 and for at most 40000 steps, halving dt when the residual
-    stagnates, and finishing each plateau with a Rayleigh-Ritz polish in the
-    Krylov space of the iterate.  Orthogonalizing against ``deflate`` after
-    every step reaches excited states.  Converged when
-    ||H psi - lambda psi|| <= tol * (1 + |lambda|).
-    """
-    op = GridOperator(ham, grid)
-    if tol <= 0:
-        raise SolverError("tol must be positive")
-    psi = gaussian_packet(grid, 0.0, 0.0, max(1.0, grid.half_extent / 8.0))
-
-    def residual_of(values):
-        hv = apply_hamiltonian(WaveFunction(grid, values), op).values
-        lam = (grid.measure * np.vdot(values, hv)).real
-        return lam, float(np.sqrt(grid.measure * np.sum(np.abs(hv - lam * values) ** 2)))
-
-    def converged(values, lam, res):
-        return EigenResult(np.array([lam]), (WaveFunction(grid, values),), np.array([res]),
-                           method="imaginary-time", tol=tol)
-
-    dt = 0.2
-    best = np.inf
-    since_improve = 0
-    vals = project_out(psi.values, deflate, grid.measure)
-    step = 0
-    stepper = _Stepper(op, dt)
-    while step < 40000:
-        for _ in range(10):
-            vals = project_out(stepper.step(vals), deflate, grid.measure)
-            nrm = np.sqrt(grid.measure * np.sum(np.abs(vals) ** 2))
-            if nrm == 0.0 or not np.isfinite(nrm):
-                raise SolverError("imaginary-time flow collapsed; all mass deflated away")
-            vals = vals / nrm
-        step += 10
-        lam, res = residual_of(vals)
-        if res <= tol * (1.0 + abs(lam)):
-            return converged(vals, lam, res)
-        if res < 0.98 * best:
-            best = res
-            since_improve = 0
-            continue
-        since_improve += 1
-        if since_improve < 5:
-            continue
-        # plateau at the splitting bias: restarted subspace polish until the
-        # target is met or the polish itself stalls, then descend with dt/2
-        stalled = False
-        for _ in range(60):
-            vals, _ = _krylov_polish(op, vals, deflate)
-            prev = res
-            lam, res = residual_of(vals)
-            if res <= tol * (1.0 + abs(lam)):
-                return converged(vals, lam, res)
-            if res > 0.7 * prev:
-                stalled = True
-                break
-        best = min(best, res)
-        since_improve = 0
-        if stalled:
-            dt = dt / 2.0
-            if dt < 1e-4:
-                raise SolverError(
-                    f"imaginary-time flow stagnated at residual {res:.3e} "
-                    f"(target {tol * (1.0 + abs(lam)):.3e})",
-                    best_residual=res,
-                )
-            stepper = _Stepper(op, dt)
-    raise SolverError(
-        f"imaginary-time flow did not converge within {step} steps "
-        f"(best residual {best:.3e})",
-        best_residual=best,
-    )
-
-
 @dataclass(frozen=True)
 class ThresholdTable:
     """Negative subsystem eigenvalues per 2-cluster decomposition, plus zero.
@@ -314,35 +192,27 @@ def distance_to_threshold(E: float, table: ThresholdTable) -> float:
     return min(table.distance(E, a) for a in TWO_CLUSTERS)
 
 
-def threshold_table(model: ThreeBodyModel, grid: GridSpec,
-                    cross_check: bool = True) -> ThresholdTable:
+def threshold_table(model: ThreeBodyModel, grid: GridSpec) -> ThresholdTable:
     """Collect the negative eigenvalues of every subsystem Hamiltonian.
 
-    Dense diagonalization on the one-particle grid, cross-checked when
-    requested against the imaginary-time route at tolerance 1e-6.
+    Dense diagonalization on the one-particle grid.  Each negative eigenvalue
+    lies within its residual of the subsystem spectrum, so a residual above
+    ``THRESHOLD_MATCH_TOL`` raises :class:`SolverError`.
     """
     if grid.particles != 1:
         raise SolverError("threshold_table runs subsystem problems on a one-particle grid")
     per: dict[ClusterId, np.ndarray] = {}
     for a in TWO_CLUSTERS:
-        h = model.subsystem(a)
         try:
-            count = min(grid.size, 12)
-            res = dense_spectrum(h, grid, count)
+            res = dense_spectrum(model.subsystem(a), grid, min(grid.size, 12))
         except SolverError as exc:
             raise SolverError(f"threshold solve failed for cluster {a}: {exc}") from exc
-        negatives = res.eigenvalues[res.eigenvalues < -1e-6]
-        if cross_check and negatives.size:
-            # the cross-check confirms the route, not the digits; shallow
-            # states have tiny gaps where the variational flow crawls
-            cc_tol = 1e-6
-            ground = ground_state_imag_time(h, grid, tol=cc_tol)
-            if abs(ground.eigenvalues[0] - negatives[0]) > 10 * cc_tol * (1 + abs(negatives[0])):
-                raise SolverError(
-                    f"threshold cross-check failed for cluster {a}: dense "
-                    f"{negatives[0]:.9f} vs imaginary-time {ground.eigenvalues[0]:.9f}"
-                )
-        per[a] = negatives
+        negative = res.eigenvalues < -1e-6
+        worst = float(np.max(res.residuals[negative], initial=0.0))
+        if worst > THRESHOLD_MATCH_TOL:
+            raise SolverError(f"threshold residual {worst:.3e} of cluster {a} exceeds "
+                              f"{THRESHOLD_MATCH_TOL:.0e}")
+        per[a] = res.eigenvalues[negative]
     return ThresholdTable(per)
 
 
@@ -369,15 +239,14 @@ def quadratic_fit(s_values, lambdas) -> np.ndarray:
     return coef
 
 
-def dispersion_scan(model: ThreeBodyModel, grid: GridSpec, s_values,
-                    tol: float = 1e-8) -> DispersionCurve:
+def dispersion_scan(model: ThreeBodyModel, grid: GridSpec, s_values) -> DispersionCurve:
     """Scan the pair-cluster fibers and fit lambda(s) against 1, s, s^2.
 
-    Fibers whose ground energy comes within a tenth of the gap lambda0 to the
-    closed-form continuum edge are flagged and excluded from the fit.
+    Fibers are solved densely up to ``DENSE_LIMIT`` sites and by Lanczos past
+    it.  A fiber whose ground energy comes within a tenth of the gap lambda0
+    to the minimum of its own symbol on the grid, the bottom of its lattice
+    continuum, is flagged and excluded from the fit.
     """
-    from .commutators import continuum_edge  # local import to avoid a cycle
-
     a = ClusterId.PAIR_FREE
     s_values = np.asarray(sorted(float(s) for s in np.atleast_1d(s_values)))
     lams = np.empty_like(s_values)
@@ -386,16 +255,14 @@ def dispersion_scan(model: ThreeBodyModel, grid: GridSpec, s_values,
 
     def solve(s: float) -> tuple[float, float]:
         h = model.reduced(a, s)
-        if grid.size <= DENSE_LIMIT:
-            res = dense_spectrum(h, grid, 1)
-        else:
-            res = ground_state_imag_time(h, grid, tol=tol)
+        solver = dense_spectrum if grid.size <= DENSE_LIMIT else iterative_lowest
+        res = solver(h, grid, 1)
         return float(res.eigenvalues[0]), float(res.residuals[0])
 
     lam0, res0 = solve(0.0)
     for i, s in enumerate(s_values):
         lams[i], resids[i] = (lam0, res0) if s == 0.0 else solve(s)
-        edge = continuum_edge(s)
+        edge = float(model.reduced(a, s).symbol.on_grid(grid).min())
         margin = 0.1 * max(edge - lam0, 1e-12)
         if lams[i] > edge - margin:
             flagged[i] = True
@@ -517,8 +384,11 @@ def spectral_filter(wf: WaveFunction, ham: HamiltonianSpec, window: tuple[float,
 
 
 def deflate_against(wf: WaveFunction, vectors) -> WaveFunction:
-    """Remove the components of ``wf`` along the given orthonormal vectors."""
-    return WaveFunction(wf.grid, project_out(wf.values, vectors, wf.grid.measure))
+    """Remove, one after another, the components of ``wf`` along the given orthonormal vectors."""
+    values = wf.values
+    for other in vectors:
+        values = values - other.values * (wf.grid.measure * np.vdot(other.values, values))
+    return WaveFunction(wf.grid, values)
 
 
 def localized_eigenvectors(ham: HamiltonianSpec, grid: GridSpec, count: int,

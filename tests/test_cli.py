@@ -142,6 +142,20 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, raw):
     assert "config error" in capsys.readouterr().err
 
 
+SHIPPED_THRESHOLDS = Path(__file__).resolve().parent.parent / "configs" / "thresholds.ini"
+
+
+@pytest.mark.parametrize("line, bad", [("points = 512", "points = 12"),
+                                       ("v12_family = poschl_teller", "v12_family = bogus")],
+                         ids=["grid", "potential"])
+def test_value_a_constructor_rejects_is_a_config_error(tmp_path, capsys, line, bad):
+    text = SHIPPED_THRESHOLDS.read_text()
+    assert line in text
+    cfg = _write(tmp_path, text.replace(line, bad))
+    assert main(["thresholds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 _VALUES = st.one_of(
     st.sampled_from(("1", "0", "-1", "8", "256", "16.0", "1e999", "nan", "0x10", "5%",
                      "%(x)s", "%%", "zero", "poschl_teller", "gaussian_well", "tabulated")),

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 
@@ -7,6 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import scatterlab.spectral as spectral
 from scatterlab.clusters import ClusterId, TWO_CLUSTERS
+from scatterlab.commutators import continuum_edge
 from scatterlab.errors import SolverError, SpectralWindowError
 from scatterlab.experiments import (
     PAIR_REFERENCE_GRID,
@@ -35,7 +37,6 @@ from scatterlab.spectral import (
     dense_spectrum,
     dispersion_scan,
     distance_to_threshold,
-    ground_state_imag_time,
     iterative_lowest,
     spectral_filter,
     threshold_table,
@@ -92,28 +93,6 @@ def test_dense_orthonormal_eigenvectors(grid512):
             want = 1.0 if i == j else 0.0
             got = res.eigenvectors[i].inner(res.eigenvectors[j])
             assert abs(got - want) < 1e-8
-
-
-def test_imag_time_free_minimum():
-    grid = make_grid(1, 64, 8.0)
-    h = HamiltonianSpec(quadratic_symbol(1.0), ())
-    res = ground_state_imag_time(h, grid, tol=1e-8)
-    assert abs(res.eigenvalues[0]) <= 1e-8
-
-
-def test_imag_time_matches_dense(grid512):
-    h = HamiltonianSpec(quadratic_symbol(1.0), ((poschl_teller(2.0, 1.0), "internal"),))
-    dense = dense_spectrum(h, grid512, 1)
-    it = ground_state_imag_time(h, grid512, tol=1e-8)
-    assert it.eigenvalues[0] == pytest.approx(dense.eigenvalues[0], abs=1e-7)
-
-
-def test_imag_time_pair_subsystem(grid512):
-    h = default_model().subsystem(ClusterId.PAIR_FREE)
-    dense = dense_spectrum(h, grid512, 1)
-    it = ground_state_imag_time(h, grid512, tol=1e-8)
-    assert it.eigenvalues[0] == pytest.approx(dense.eigenvalues[0], abs=1e-6)
-    assert dense.eigenvalues[0] == pytest.approx(PAIR_GROUND, abs=1e-10)
 
 
 def test_iterative_matches_dense(grid512):
@@ -196,17 +175,6 @@ def test_even_symbol_picks_the_real_route(ham, grid, even):
     assert GridOperator(ham, grid).even_symbol is even
 
 
-def test_imag_time_deflation_reaches_excited():
-    # a deeper well with two bound states
-    grid = make_grid(1, 512, 32.0)
-    h = HamiltonianSpec(quadratic_symbol(1.0), ((poschl_teller(6.0, 1.0), "internal"),))
-    dense = dense_spectrum(h, grid, 2)
-    g0 = ground_state_imag_time(h, grid, tol=1e-8)
-    g1 = ground_state_imag_time(h, grid, tol=1e-8, deflate=g0.eigenvectors)
-    assert g0.eigenvalues[0] == pytest.approx(dense.eigenvalues[0], abs=1e-6)
-    assert g1.eigenvalues[0] == pytest.approx(dense.eigenvalues[1], abs=1e-6)
-
-
 def test_fiber_shift_law(grid512):
     model = default_model()
     grid = make_grid(1, 256, 16.0)
@@ -226,7 +194,7 @@ def test_reduced_electron_free_constant_shift():
 def test_thresholds_no_potential():
     z = zero_potential()
     model = ThreeBodyModel(v12=z, v13=z, v23=z)
-    table = threshold_table(model, make_grid(1, 256, 16.0), cross_check=False)
+    table = threshold_table(model, make_grid(1, 256, 16.0))
     assert np.allclose(table.thresholds, [0.0])
 
 
@@ -284,10 +252,48 @@ def test_threshold_table_rejects_nonnegative():
 
 def test_dispersion_scan_structure(grid512):
     model = default_model()
-    curve = dispersion_scan(model, make_grid(1, 256, 16.0), (0.0, 0.1, -0.1), tol=1e-7)
+    curve = dispersion_scan(model, make_grid(1, 256, 16.0), (0.0, 0.1, -0.1))
     assert curve.lambdas[np.where(curve.s_values == 0.0)[0][0]] == curve.lambda0
     assert abs(curve.linear_coefficient) < 1e-2
     assert not curve.flagged.any()
+
+
+def test_dispersion_scan_takes_lanczos_past_the_dense_limit(monkeypatch, grid512):
+    svals = (0.0, 0.1, -0.1)
+    dense = dispersion_scan(default_model(), grid512, svals)
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 256)
+    lanczos = dispersion_scan(default_model(), grid512, svals)
+    assert np.max(np.abs(lanczos.lambdas - dense.lambdas)) <= 1e-8
+    assert np.max(lanczos.residuals) <= 1e-8
+    assert np.array_equal(lanczos.flagged, dense.flagged)
+
+
+def test_dispersion_scan_guards_against_the_lattice_continuum():
+    # off the momentum lattice the fiber symbol's grid minimum (0.0256 at
+    # s = 0.05) lies far above the closed-form edge s^2 = 0.0025; the bound
+    # fiber at +0.0104 sits between the two and stays in the fit
+    shallow = ThreeBodyModel(*(poschl_teller(0.3, 1.0),) * 3)
+    grid = make_grid(1, 256, 32.0)
+    small = np.pi / grid.half_extent
+    curve = dispersion_scan(shallow, grid, (0.0, small, -small, 0.05))
+    lam = curve.lambdas[curve.s_values == 0.05][0]
+    assert continuum_edge(0.05) < lam < 0.0256
+    assert not curve.flagged.any()
+
+
+def test_threshold_table_matches_the_pair_ground_state(grid512):
+    table = threshold_table(default_model(), grid512)
+    assert table.per_cluster[ClusterId.PAIR_FREE][0] == pytest.approx(PAIR_GROUND, abs=1e-10)
+
+
+def test_threshold_table_rejects_an_uncertified_eigenpair(monkeypatch):
+    def inflated(ham, grid, count):
+        res = dense_spectrum(ham, grid, count)
+        return dataclasses.replace(res, residuals=res.residuals + 1e-6)
+
+    monkeypatch.setattr(spectral, "dense_spectrum", inflated)
+    with pytest.raises(SolverError, match=r"cluster \(y\)\(x0\)"):
+        threshold_table(default_model(), make_grid(1, 128, 16.0))
 
 
 def test_dispersion_scan_solves_each_fiber_once(monkeypatch):
@@ -367,7 +373,7 @@ def test_dispersion_scan_flags_fiber_near_edge():
     # the small-s fibers sit on lattice momenta, where the kink of |q - s|
     # falls on the lattice and the shallow state stays bound in this box
     small = np.pi / grid.half_extent
-    curve = dispersion_scan(shallow, grid, (0.0, small, -small, 1.5, -1.5), tol=1e-7)
+    curve = dispersion_scan(shallow, grid, (0.0, small, -small, 1.5, -1.5))
     big = np.abs(curve.s_values) > 1.0
     assert curve.flagged[big].all()
     assert not curve.flagged[~big].any()
