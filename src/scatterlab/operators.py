@@ -22,6 +22,7 @@ without the n-D wrapper's per-call argument handling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -277,13 +278,21 @@ def potential_field(grid: GridSpec, ham: HamiltonianSpec) -> np.ndarray:
     return out
 
 
+def mirrored(field: np.ndarray) -> np.ndarray:
+    """``field`` at index -j mod N on every axis (flip, then roll by one): k -> -k on
+    the momentum lattice, x -> -x on the periodic position lattice ``{-L + j dx}``."""
+    return np.roll(np.flip(field), 1, axis=tuple(range(field.ndim)))
+
+
 class GridOperator:
     """H = m(P) + V on one grid, with the read-only fields ``symbol`` (m on the
     momentum lattice) and ``potential`` (V on the position lattice) built once.
 
     :meth:`apply` takes one state of ``grid.shape`` or a stack ``(k, *grid.shape)``.
     :attr:`even_symbol` says whether m(-k) = m(k) on the lattice; V is real, so
-    then H is a real symmetric matrix in position space.
+    then H is a real symmetric matrix in position space.  :attr:`even_potential`
+    says whether V(-x) = V(x); then H commutes with PT, parity composed with
+    complex conjugation, and is real symmetric in a PT-invariant basis.
     """
 
     def __init__(self, ham: HamiltonianSpec, grid: GridSpec):
@@ -295,14 +304,16 @@ class GridOperator:
         self._axes = tuple(range(-grid.axes, 0))
         self._one_axis = grid.axes == 1
         self._has_potential = bool(np.any(self.potential))
-        # k -> -k maps FFT index j to -j mod N on every axis: flip, then roll by one
-        mirror = np.roll(np.flip(self.symbol), 1, axis=tuple(range(self.symbol.ndim)))
-        self._even_symbol = bool(np.array_equal(self.symbol, mirror))
 
-    @property
+    @cached_property
     def even_symbol(self) -> bool:
         """True when the symbol is even under k -> -k, so that H is real symmetric."""
-        return self._even_symbol
+        return bool(np.array_equal(self.symbol, mirrored(self.symbol)))
+
+    @cached_property
+    def even_potential(self) -> bool:
+        """True when the potential is even under x -> -x, so that H commutes with PT."""
+        return bool(np.array_equal(self.potential, mirrored(self.potential)))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """``m(P)`` by unitary FFTs over the trailing grid axes, plus ``V`` pointwise.

@@ -16,8 +16,11 @@ non-constant symbol term is shifted: the full and subsystem Hamiltonians, the
 (y)(x0) and (x)(y0) fibers at any s, and the (xy)(0) fiber at s = 0.  The
 potentials are real, so H is then a real symmetric matrix: the dense route
 calls real ``eigh`` and the Lanczos route runs ARPACK's symmetric ``dsaupd``.
-Every other operator is solved as complex Hermitian.  Residuals always use
-the complex apply.
+When only the potential is even (``GridOperator.even_potential``, as the even
+V23 makes the (xy)(0) fibers at s != 0), H commutes with PT, parity composed
+with complex conjugation, and the dense route solves it as a real symmetric
+matrix in a PT-invariant basis: three arithmetic routes in all.  Every other
+operator is solved as complex Hermitian.  Residuals always use the complex apply.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .clusters import ClusterId, TWO_CLUSTERS
 from .errors import SolverError, SpectralWindowError
 from .lattice import GridSpec, WaveFunction
 from .model import ThreeBodyModel
-from .operators import GridOperator, HamiltonianSpec, apply_hamiltonian
+from .operators import GridOperator, HamiltonianSpec, apply_hamiltonian, mirrored
 
 DENSE_LIMIT = 4096
 
@@ -78,13 +81,17 @@ def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenRes
     """Lowest ``count`` eigenpairs of the exact grid operator.
 
     The matrix is assembled by applying the Hamiltonian to every lattice basis
-    vector and symmetrized against roundoff; LAPACK's MRRR solver
-    (``scipy.linalg.eigh`` with ``subset_by_index``) then computes only the
-    lowest ``count`` eigenpairs, overwriting the matrix.  When the symbol is
-    even (:attr:`GridOperator.even_symbol`: no non-constant symbol term is
-    shifted), H is real symmetric: only the real part of each column
-    is kept and real ``eigh`` runs on half the memory; otherwise the matrix
-    is complex Hermitian.
+    vector, H e_j into row j, and symmetrized against roundoff; LAPACK's MRRR
+    solver (``scipy.linalg.eigh`` with ``subset_by_index``) then computes only
+    the lowest ``count`` eigenpairs, overwriting the matrix.  When the symbol
+    is even (:attr:`GridOperator.even_symbol`: no non-constant symbol term is
+    shifted), H is real symmetric: only the real part of each row is kept and
+    real ``eigh`` runs on half the memory.  When only the potential is even
+    (:attr:`GridOperator.even_potential`), real ``eigh`` runs on H in the
+    PT-invariant basis e^{-i pi/4} (e_j + i e_{-j}) / sqrt 2, the matrix
+    Re H - (Im H[:, m] - Im H[m, :]) / 2 with m the mirror j -> -j, and the
+    eigenvectors satisfy psi(-x) = conj psi(x).  Otherwise the matrix is
+    complex Hermitian.
     """
     op = GridOperator(ham, grid)
     n = grid.size
@@ -97,11 +104,17 @@ def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenRes
     basis = np.zeros(n, dtype=np.complex128)
     for j in range(n):  # WaveFunction freezes a reshaped view, so basis stays writable
         basis[j] = 1.0
-        column = apply_hamiltonian(WaveFunction(grid, basis.reshape(grid.shape)), op).values
-        mat[:, j] = column.real.ravel() if real else column.ravel()
+        row = apply_hamiltonian(WaveFunction(grid, basis.reshape(grid.shape)), op).values.ravel()
+        mat[j] = row.real if real else row
         basis[j] = 0.0
-    mat = (mat + (mat.T if real else mat.conj().T)) / 2.0  # conj() of a real matrix is a copy
+    mat = (mat.T + (mat if real else mat.conj())) / 2.0  # conj() of a real matrix is a copy
+    pt = not real and op.even_potential
+    if pt:
+        m = mirrored(np.arange(n).reshape(grid.shape)).ravel()
+        mat = mat.real - (mat.imag[:, m] - mat.imag[m, :]) / 2.0
     evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, count - 1], overwrite_a=True)
+    if pt:  # e^{-i pi/4} / sqrt 2 = (1 - i) / 2 exactly
+        evecs = ((evecs + evecs[m]) + 1j * (evecs[m] - evecs)) / 2.0
     return _eigen_result(op, evals, evecs, range(count), "dense", 1e-9)
 
 

@@ -2,11 +2,14 @@
 
 Symbols are random sums of quadratic, absolute and constant terms (shifts
 included); potentials are random Poschl-Teller or Gaussian wells on every
-coordinate the grid offers.  Shifted and unshifted symbols together reach
-both arithmetic routes of the dense and Lanczos solvers: real symmetric for
-an even symbol, complex Hermitian otherwise.  The dense subset solve is
-checked against a full ``eigh``, and the one-axis H-apply and Strang step
-against the same kernels on ``fftn``/``ifftn``.  The H-apply, the Strang step
+coordinate the grid offers.  Shifted and unshifted symbols, and centred and
+off-centre wells, together reach every arithmetic route of the dense and
+Lanczos solvers: real symmetric for an even symbol, real symmetric in a
+PT-invariant basis for a shifted symbol with an even potential (dense only;
+its eigenvectors must satisfy psi(-x) = conj psi(x)), and complex Hermitian
+otherwise.  The dense subset solve is checked against a full ``eigh``, and
+the one-axis H-apply and Strang step against the same kernels on
+``fftn``/``ifftn``.  The H-apply, the Strang step
 and the Chebyshev recurrence are checked never to write into their input.
 The cluster chart is checked to be invertible on random points, and ``.dswf``
 dumps to round-trip bit for bit and to reject cut or padded files.  The
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from scatterlab.clusters import CHART, ClusterId, cluster_coordinates, cluster_count
@@ -139,14 +142,32 @@ def _even(grid, ham):
     return np.array_equal(ham.symbol.evaluate(mesh), ham.symbol.evaluate(tuple(-k for k in mesh)))
 
 
+def _mirror_index(grid):
+    """Flat index of the lattice point -j mod N on every axis, the mirror x -> -x."""
+    j = (-np.arange(grid.points_per_axis)) % grid.points_per_axis
+    return np.ravel_multi_index(np.meshgrid(*([j] * grid.axes), indexing="ij"),
+                                grid.shape).reshape(-1)
+
+
+def _even_potential(grid, ham):
+    """True when the spec's potential takes the same values at x and -x on the lattice."""
+    field = GridOperator(ham, grid).potential.reshape(-1)
+    return np.array_equal(field, field[_mirror_index(grid)])
+
+
 @given(cases(grids=GRIDS[:3]))
 def test_dense_spectrum_equals_column_by_column_assembly(case):
     grid, ham = case
     mat = _assembled(grid, ham)
     count = 4
-    # with an even symbol H is real symmetric and the dense route runs real eigh
-    reference = scipy.linalg.eigh(mat.real if _even(grid, ham) else mat,
-                                  subset_by_index=[0, count - 1])[0]
+    # with an even symbol H is real symmetric and the dense route runs real eigh;
+    # with an even potential alone it runs real eigh on H in a PT-invariant basis
+    if _even(grid, ham):
+        mat = mat.real
+    elif _even_potential(grid, ham):
+        m = _mirror_index(grid)
+        mat = mat.real - (mat.imag[:, m] - mat.imag[m, :]) / 2.0
+    reference = scipy.linalg.eigh(mat, subset_by_index=[0, count - 1])[0]
     res = dense_spectrum(ham, grid, count)
     assert np.array_equal(res.eigenvalues, reference)
 
@@ -222,6 +243,23 @@ def test_real_and_complex_dense_eigenvalues_agree(case):
     real_route = dense_spectrum(ham, grid, grid.size).eigenvalues
     radius = np.max(np.abs(complex_route))
     assert np.max(np.abs(real_route - complex_route)) <= 1e-12 * radius
+
+
+@given(cases(grids=(GRIDS[1], GRIDS[3])))
+def test_pt_real_dense_route_matches_the_complex_eigh(case):
+    grid, ham = case
+    assume(not _even(grid, ham))
+    ham = replace(ham, potentials=tuple((replace(pot, center=0.0), tag)
+                                        for pot, tag in ham.potentials))
+    complex_route = np.linalg.eigh(_assembled(grid, ham))[0]
+    res = dense_spectrum(ham, grid, grid.size)
+    radius = np.max(np.abs(complex_route))
+    assert np.max(np.abs(res.eigenvalues - complex_route)) <= 1e-12 * radius
+    vecs = np.array([v.values.reshape(-1) for v in res.eigenvectors]).T * np.sqrt(grid.measure)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(grid.size))) <= 1e-10
+    assert np.max(res.residuals) <= 1e-10 * max(1.0, radius)
+    # PT-symmetric eigenvectors: psi(-x) = conj psi(x)
+    assert np.max(np.abs(vecs[_mirror_index(grid)] - vecs.conj())) <= 1e-12
 
 
 @st.composite

@@ -152,27 +152,40 @@ def test_iterative_lowest_gives_up_on_an_unresolvable_cluster_within_its_budget(
 
 
 def _solved_hamiltonians():
-    """Every Hamiltonian the checks and the benchmark solve, with its expected route."""
+    """Every Hamiltonian the checks and the benchmark solve, with its expected
+    arithmetic, and an off-centre well under a shifted symbol, which has no PT symmetry."""
     grid1, grid2 = make_grid(*THRESHOLD_GRID), make_grid(2, 128, 48.0)
     ref_grid = make_grid(*PAIR_REFERENCE_GRID)
-    yield "free", HamiltonianSpec(free_symbol(), ()), grid2, True
+    yield "free", HamiltonianSpec(free_symbol(), ()), grid2, "real"
+    shifted = quadratic_symbol(0.25, shift=0.3) + absolute_symbol(0.5, shift=-0.3)
+    off_centre = ((poschl_teller(2.0, 1.0, 0.3), "internal"),)
+    yield "off-centre-well", HamiltonianSpec(shifted, off_centre), grid1, "complex"
     for name, model in (("default", default_model()), ("dynamics", dynamics_model())):
-        yield f"{name}-full", model.full(), grid2, True
+        yield f"{name}-full", model.full(), grid2, "real"
         for a in TWO_CLUSTERS:
-            yield f"{name}-subsystem-{a}", model.subsystem(a), grid1, True
+            yield f"{name}-subsystem-{a}", model.subsystem(a), grid1, "real"
         for s in (-1.0, -0.3, 0.0, 0.05, 0.7):
             for a in (ClusterId.PHOTON_FREE, ClusterId.ELECTRON_FREE):
-                yield f"{name}-reduced-{a}-{s}", model.reduced(a, s), grid1, True
+                yield f"{name}-reduced-{a}-{s}", model.reduced(a, s), grid1, "real"
             if s != 0.0:
+                # V23 is even, so the shifted (xy)(0) operators commute with PT
                 yield (f"{name}-reduced-{ClusterId.PAIR_FREE}-{s}",
-                       model.reduced(ClusterId.PAIR_FREE, s), grid1, False)
-                yield f"{name}-pair-sector-{s}", pair_sector_hamiltonian(model, s), ref_grid, False
+                       model.reduced(ClusterId.PAIR_FREE, s), grid1, "pt-real")
+                yield (f"{name}-pair-sector-{s}", pair_sector_hamiltonian(model, s), ref_grid,
+                       "pt-real")
 
 
-@pytest.mark.parametrize("ham, grid, even", [pytest.param(h, g, e, id=label)
-                                             for label, h, g, e in _solved_hamiltonians()])
-def test_even_symbol_picks_the_real_route(ham, grid, even):
-    assert GridOperator(ham, grid).even_symbol is even
+def _arithmetic(op):
+    """The arithmetic ``dense_spectrum`` solves the operator in."""
+    if op.even_symbol:
+        return "real"
+    return "pt-real" if op.even_potential else "complex"
+
+
+@pytest.mark.parametrize("ham, grid, arithmetic", [pytest.param(h, g, a, id=label)
+                                                   for label, h, g, a in _solved_hamiltonians()])
+def test_even_symbol_picks_the_real_route(ham, grid, arithmetic):
+    assert _arithmetic(GridOperator(ham, grid)) == arithmetic
 
 
 def test_fiber_shift_law(grid512):
