@@ -25,7 +25,7 @@ from . import experiments as xp
 from . import io as sio
 from .clusters import ClusterId, TWO_CLUSTERS
 from .errors import ChecksSkippedError, ConfigError, GridError, PotentialError, ScatterError
-from .lattice import make_grid, gaussian_packet, write_wavefunction
+from .lattice import GridSpec, make_grid, gaussian_packet, write_wavefunction
 from .model import ThreeBodyModel
 from .operators import PotentialSpec
 from .propagation import (
@@ -151,6 +151,16 @@ def parse_grid(cp):
         raise ConfigError(f"[grid] {exc}") from exc
 
 
+def _model_on_grid(cp) -> tuple[ThreeBodyModel, GridSpec]:
+    """The [model] and [grid] sections, with every potential negligible at the box edge."""
+    model, grid = parse_model(cp), parse_grid(cp)
+    try:
+        model.validate_for(grid)
+    except PotentialError as exc:
+        raise ConfigError(f"[model] on [grid]: {exc}") from exc
+    return model, grid
+
+
 def parse_cutoffs(cp) -> CutoffSpec:
     _require_section(cp, "cutoffs")
     return CutoffSpec(
@@ -190,8 +200,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         return path
 
     if experiment == "spectrum":
-        model = parse_model(cp)
-        grid = parse_grid(cp)
+        model, grid = _model_on_grid(cp)
         if grid.particles != 1:
             raise ConfigError("[grid] particles must be 1: the spectrum "
                               "experiment solves the one-particle subsystems")
@@ -207,16 +216,14 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
             write_wavefunction(out(f"ground-{tag_a}", "dswf"), res.eigenvectors[0])
 
     elif experiment == "thresholds":
-        model = parse_model(cp)
-        grid = parse_grid(cp)
+        model, grid = _model_on_grid(cp)
         table = threshold_table(model, grid)
         rows = [(str(a), lam) for a in TWO_CLUSTERS for lam in table.per_cluster[a]]
         rows.append(("zero", 0.0))
         sio.write_csv(out(""), ("cluster", "threshold"), rows)
 
     elif experiment == "dispersion":
-        model = parse_model(cp)
-        grid = parse_grid(cp)
+        model, grid = _model_on_grid(cp)
         _require_section(cp, "dispersion")
         svals = _float_list(_get(cp, "dispersion", "s_values", str, required=True))
         curve = dispersion_scan(model, grid, svals)
@@ -226,8 +233,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
                       rows)
 
     elif experiment == "mourre":
-        model = parse_model(cp)
-        grid = parse_grid(cp)
+        model, grid = _model_on_grid(cp)
         window = parse_window(cp)
         energy = _get(cp, "window", "energy", float, required=True)
         samples = _get(cp, "window", "samples", int, default=20)
@@ -255,6 +261,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
     elif experiment == "partition":
         width = _get(cp, "partition", "width", float, default=DEFAULT_SMOOTHING_WIDTH) \
             if cp.has_section("partition") else DEFAULT_SMOOTHING_WIDTH
+        # no boundary-decay check: the partition samples the model only along rays
         grid = parse_grid(cp)
         pset = build_partition(width)
         model = parse_model(cp) if cp.has_section("model") else None
@@ -275,8 +282,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
             status = "violations: " + "; ".join(report.violations)
 
     elif experiment == "evolve":
-        model = parse_model(cp)
-        grid = parse_grid(cp)
+        model, grid = _model_on_grid(cp)
         _require_section(cp, "schedule")
         dt = _get(cp, "schedule", "dt", float, required=True)
         horizon = _get(cp, "schedule", "horizon", float, required=True)
@@ -299,8 +305,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
                            "half_extent": grid.half_extent})
 
     elif experiment in ("local-decay", "min-velocity", "channels"):
-        model = parse_model(cp)
-        grid = parse_grid(cp)
+        model, grid = _model_on_grid(cp)
         window = parse_window(cp)
         _require_section(cp, "schedule")
         dt = _get(cp, "schedule", "dt", float, required=True)

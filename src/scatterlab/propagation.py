@@ -6,6 +6,9 @@ unitary to roundoff; accuracy in dt is second order.  The step is
 backward march.  The dynamical experiments (local decay, minimal velocity,
 channel cutoffs, approximate wave operators, completeness defect) are
 compositions of evolution, spectral filtering, and smoothed position cutoffs.
+Every run steps through one loop, :func:`_march`; the channel experiments
+share one construction, :func:`_filtered_forward` (one filter, one march
+under H) and :func:`_cut_and_back` (one cut, one march under H_a).
 """
 
 from __future__ import annotations
@@ -73,30 +76,30 @@ def _steps_for(duration: float, dt: float) -> int:
     return steps
 
 
-def _sampled_blocks(steps: int, steps_per_sample: int, dt: float) -> list[tuple[int, float]]:
-    """``(steps, t)`` blocks of ``steps_per_sample`` steps; the last may be shorter."""
+def _sample_times(T: float, steps_per_sample: int, dt: float) -> list[float]:
+    """Times ``e dt`` after every ``steps_per_sample`` steps of dt and at T."""
+    steps = _steps_for(T, dt)
     ends = [*range(steps_per_sample, steps, steps_per_sample), steps] if steps else []
-    return [(end - start, end * dt) for start, end in zip([0] + ends, ends)]
+    return [end * dt for end in ends]
 
 
-def _march(values: np.ndarray, stepper: _Stepper, blocks, boundary_limit: float,
-           sample, reference: float | None = None) -> np.ndarray:
-    """Step through ``(steps, t)`` blocks; returns the final amplitudes.
+def _march(values: np.ndarray, stepper: _Stepper, start: float, times,
+           boundary_limit: float, sample, reference: float | None = None) -> np.ndarray:
+    """The one stepping loop: from ``start`` through the monotone list ``times``.
 
-    After each block ``sample(t, values)`` runs, then the breach guard raises
-    :class:`BoundaryBreachError` if the mass in the outer tenth of the box
-    exceeds ``boundary_limit`` times ``reference``.  ``reference`` is a
-    squared-norm scale, by default the initial state's: relative to the
-    initial norm, not the current one, so that runs on near-annihilated
-    states (empty spectral windows) do not trip on their own roundoff-level
-    ripple.  Experiment-level callers pass the overall experiment scale so
-    that low-norm channel slivers are judged by what they contribute, not by
-    their own size.
+    Each block takes ``_steps_for(|t - t_prev|, |z|)`` steps, all counted up
+    front.  After each block ``sample(t, values)`` runs, then the breach guard
+    raises :class:`BoundaryBreachError` if the mass in the outer tenth of the
+    box exceeds ``boundary_limit`` times ``reference``, a squared-norm scale:
+    by default the initial state's, so runs on near-annihilated states (empty
+    windows) do not trip on their own ripple.  Returns the final amplitudes.
     """
+    dt = abs(stepper.z)
+    blocks = [_steps_for(abs(t - prev), dt) for prev, t in zip([start] + times, times)]
     shell = stepper.grid.shell_mask(BOUNDARY_SHELL_FRACTION)
     if reference is None:
         reference = float(np.sum(np.abs(values) ** 2))
-    for steps, t in blocks:
+    for steps, t in zip(blocks, times):
         for _ in range(steps):
             values = stepper.step(values)
         sample(t, values)
@@ -109,15 +112,15 @@ def _march(values: np.ndarray, stepper: _Stepper, blocks, boundary_limit: float,
     return values
 
 
-def _snapshots(values: np.ndarray, stepper: _Stepper, start: float, times,
-               boundary_limit: float, reference: float | None = None) -> dict:
-    """States at the (monotone) ``times``, marching from ``start`` in steps of ``|z|``."""
-    ends = list(times)
-    blocks = [(_steps_for(abs(end - t), abs(stepper.z)), end)
-              for t, end in zip([start] + ends, ends)]
-    snaps = {}
-    _march(values, stepper, blocks, boundary_limit, snaps.__setitem__, reference)
-    return snaps
+def _unit_filtered(psi0: WaveFunction, ham: HamiltonianSpec, window,
+                   filter_transition: float, skip_filter: bool = False) -> WaveFunction:
+    """``psi0`` filtered into ``window`` (unless ``skip_filter``), normalized."""
+    psi = psi0 if skip_filter else spectral_filter(
+        psi0, ham, window, transition_fraction=filter_transition)
+    nrm = psi.norm()
+    if nrm < 1e-12:
+        raise SpectralWindowError("filtered state vanished; window misses the spectrum")
+    return psi.scaled(1.0 / nrm)
 
 
 def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
@@ -135,7 +138,6 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
     grid = wf.grid
     op = GridOperator(prop.ham, grid)
     stepper = _Stepper(op, 1j * prop.dt)
-    steps = _steps_for(T, prop.dt)
     mesh = grid.position_mesh()
 
     times = []
@@ -159,8 +161,8 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
 
     record(0.0, wf.values)
     try:
-        values = _march(wf.values, stepper,
-                        _sampled_blocks(steps, prop.steps_per_sample, prop.dt),
+        values = _march(wf.values, stepper, 0.0,
+                        _sample_times(T, prop.steps_per_sample, prop.dt),
                         boundary_limit, record)
     except BoundaryBreachError as exc:
         exc.partial_traces = {
@@ -260,17 +262,11 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
                     f"window {tuple(window)} contains the eigenvalue {lam:.6f}; "
                     "local decay needs a window in the continuous spectrum")
     grid = psi0.grid
-    psi = spectral_filter(psi0, ham, window, transition_fraction=filter_transition)
-    nrm = psi.norm()
-    if nrm < 1e-12:
-        raise SpectralWindowError("filtered state vanished; window misses the spectrum")
-    psi = psi.scaled(1.0 / nrm)
+    psi = _unit_filtered(psi0, ham, window, filter_transition)
 
     weight_sq = (1.0 + grid.radius_sq()) ** (-mu)
     steps_per_sample = max(1, int(round(0.25 / dt)))
     stepper = _Stepper(GridOperator(ham, grid), 1j * dt)
-    steps = _steps_for(T, dt)
-
     times, w = [], []
 
     def sample(t, values):
@@ -278,7 +274,7 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
         w.append(float(grid.measure * np.sum(weight_sq * np.abs(values) ** 2)))
 
     sample(0.0, psi.values)
-    _march(psi.values, stepper, _sampled_blocks(steps, steps_per_sample, dt),
+    _march(psi.values, stepper, 0.0, _sample_times(T, steps_per_sample, dt),
            boundary_limit, sample)
     times = np.array(times)
     w = np.array(w)
@@ -307,28 +303,75 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
             f"delta = {cutoffs.delta} must stay below the commutator constant "
             f"theta = {theta} for the window")
     grid = psi0.grid
-    psi = psi0 if skip_filter else spectral_filter(
-        psi0, ham, window, transition_fraction=filter_transition)
-    nrm = psi.norm()
-    if nrm < 1e-12:
-        raise SpectralWindowError("filtered state vanished; window misses the spectrum")
-    psi = psi.scaled(1.0 / nrm)
+    psi = _unit_filtered(psi0, ham, window, filter_transition, skip_filter)
 
     sample_times = [1.0]
     while sample_times[-1] + sample_interval <= T + 1e-9:
         sample_times.append(round(sample_times[-1] + sample_interval, 9))
-    snaps = _snapshots(psi.values, _Stepper(GridOperator(ham, grid), 1j * dt), 0.0,
-                       sample_times, boundary_limit)
-    times, vals = [], []
-    for t in sample_times:
+    vals = []
+
+    def sample(t, values):
         F = shrinking_region_field(grid, t, cutoffs.delta, cutoffs.eps,
                                    cutoffs.smoothing_fraction)
-        v = snaps[t]
-        times.append(t)
-        vals.append(float(np.sqrt(grid.measure * np.sum(F ** 2 * np.abs(v) ** 2))))
-    return TraceSeries(np.array(times), np.array(vals), "minimal_velocity_norm",
+        vals.append(float(np.sqrt(grid.measure * np.sum(F ** 2 * np.abs(values) ** 2))))
+
+    _march(psi.values, _Stepper(GridOperator(ham, grid), 1j * dt), 0.0, sample_times,
+           boundary_limit, sample)
+    return TraceSeries(np.array(sample_times), np.array(vals), "minimal_velocity_norm",
                        metadata={"delta": cutoffs.delta, "eps": cutoffs.eps,
                                  "theta": theta, "window": tuple(window), "dt": dt})
+
+
+def _filtered_forward(psi0: WaveFunction, model: ThreeBodyModel, window, times, dt: float,
+                      table: ThresholdTable | None, filter_ripple: float,
+                      filter_transition: float, boundary_limit: float,
+                      deflate_eigenvectors=()) -> tuple[WaveFunction, dict | None]:
+    """``(psi, states)``: after the window checks, ``psi`` = E_window(H) psi0, deflated,
+    and ``states[t]`` = e^{-itH} psi at the monotone ``times``, from one march.
+    ``states`` is None when ``psi`` is at most 1e-7 ||psi0||: the window misses
+    the spectrum, and evolving ripple would only propagate roundoff."""
+    if not window[1] < 0:
+        raise SpectralWindowError("the channel construction runs at negative energies")
+    if table is not None:
+        table.require_clear(window)
+    ham_full = model.full()
+    psi = spectral_filter(psi0, ham_full, window, target_ripple=filter_ripple,
+                          transition_fraction=filter_transition)
+    psi = deflate_against(psi, deflate_eigenvectors)
+    if psi.norm() <= 1e-7 * psi0.norm():
+        return psi, None
+    states = {}
+    _march(psi.values, _Stepper(GridOperator(ham_full, psi0.grid), 1j * dt), 0.0, times,
+           boundary_limit, states.__setitem__)
+    return psi, states
+
+
+def _cut_and_back(a: ClusterId, t: float, state: np.ndarray, psi: WaveFunction,
+                  model: ThreeBodyModel, cutoffs: CutoffSpec, dt: float, times,
+                  boundary_limit: float) -> dict:
+    """e^{-i(s - t) H_a} F_a(t) ``state`` at the monotone ``times`` s, from one march.
+
+    The breach guard runs against the filtered state ``psi``'s squared norm,
+    so tiny off-channel slivers are judged by what they contribute.
+    """
+    states = {}
+    _march(channel_cutoff(a, t, cutoffs, psi.grid) * state,
+           _Stepper(GridOperator(model.truncated(a), psi.grid), -1j * dt), t, times,
+           boundary_limit, states.__setitem__, float(np.sum(np.abs(psi.values) ** 2)))
+    return states
+
+
+def _approximants(a, psi0, model, window, cutoffs, schedule, dt, table, filter_ripple,
+                  filter_transition, boundary_limit) -> list[WaveFunction]:
+    """phi_a(t) at each time of the ascending ``schedule``, or the vanished filtered state."""
+    require_two_cluster(a)
+    psi, forward = _filtered_forward(psi0, model, window, schedule, dt, table, filter_ripple,
+                                     filter_transition, boundary_limit)
+    if forward is None:
+        return [psi] * len(schedule)
+    return [WaveFunction(psi.grid, _cut_and_back(a, t, forward[t], psi, model, cutoffs, dt,
+                                                 [0.0], boundary_limit)[0.0])
+            for t in schedule]
 
 
 def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel,
@@ -339,30 +382,12 @@ def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
     """Channel-a approximant: filter, evolve to t under H, cut, evolve back under H_a.
 
     Realizes e^{+i H_a t} F_a e^{-i H t} E_window(H) psi0 at one time, with
-    F_a the channel cutoff on the internal coordinate of ``a``; its
-    stabilization along a time schedule is the existence statement the
-    completeness experiment quantifies.
+    F_a the channel cutoff on the internal coordinate of ``a``: the path of
+    :func:`wave_operator_cauchy` on the schedule ``[t]``.  An empty window
+    returns the ripple-level filtered state unevolved.
     """
-    require_two_cluster(a)
-    if not window[1] < 0:
-        raise SpectralWindowError("the channel construction runs at negative energies")
-    if table is not None:
-        table.require_clear(window)
-    grid = psi0.grid
-    ham_full = model.full()
-    psi = spectral_filter(psi0, ham_full, window, target_ripple=filter_ripple,
-                          transition_fraction=filter_transition)
-    if psi.norm() <= 1e-7 * psi0.norm():
-        # the window misses the spectrum; the approximant is the (ripple-level)
-        # filtered state itself and evolving it would only propagate roundoff
-        return psi
-    forward = _snapshots(psi.values, _Stepper(GridOperator(ham_full, grid), 1j * dt), 0.0,
-                         [t], boundary_limit)
-    scale = float(np.sum(np.abs(psi.values) ** 2))
-    cut = channel_cutoff(a, t, cutoffs, grid) * forward[t]
-    back = _snapshots(cut, _Stepper(GridOperator(model.truncated(a), grid), -1j * dt), t,
-                      [0.0], boundary_limit, reference=scale)
-    return WaveFunction(grid, back[0.0])
+    return _approximants(a, psi0, model, window, cutoffs, [t], dt, table, filter_ripple,
+                         filter_transition, boundary_limit)[0]
 
 
 def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel,
@@ -374,20 +399,16 @@ def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
 
     Reports ||phi_a(t_{j+1}) - phi_a(t_j)|| for consecutive schedule times;
     decreasing differences are the numerical footprint of the existence of
-    the channel wave operators.
+    the channel wave operators.  One filter (ripple 1e-6) and one forward
+    march serve every time; each phi_a(t) is bit for bit
+    :func:`wave_operator_approx` at t.
     """
     schedule = sorted(float(t) for t in np.atleast_1d(schedule))
     if len(schedule) < 2:
         raise HypothesisError("the stabilization trace needs at least two times")
-    approximants = [
-        wave_operator_approx(a, psi0, model, window, cutoffs, t, dt, table=table,
-                             filter_transition=filter_transition,
-                             boundary_limit=boundary_limit)
-        for t in schedule
-    ]
-    diffs = [
-        (approximants[j + 1] - approximants[j]).norm() for j in range(len(schedule) - 1)
-    ]
+    phis = _approximants(a, psi0, model, window, cutoffs, schedule, dt, table, 1e-6,
+                         filter_transition, boundary_limit)
+    diffs = [(phis[j + 1] - phis[j]).norm() for j in range(len(schedule) - 1)]
     return TraceSeries(np.array(schedule[1:]), np.array(diffs),
                        "wave_operator_stabilization",
                        metadata={"cluster": str(a), "window": tuple(window), "dt": dt})
@@ -409,48 +430,23 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
     schedule = sorted(float(t) for t in np.atleast_1d(schedule))
     if not schedule or schedule[0] < 1.0:
         raise HypothesisError("schedule times must be >= 1")
-    if not window[1] < 0:
-        raise SpectralWindowError("the completeness experiment runs at negative energies")
-    if table is not None:
-        table.require_clear(window)
-    grid = psi0.grid
-    ham_full = model.full()
-    t_ref = schedule[-1]
-
-    psi = spectral_filter(psi0, ham_full, window, target_ripple=filter_ripple,
-                          transition_fraction=filter_transition)
-    psi = deflate_against(psi, deflate_eigenvectors)
+    psi, forward = _filtered_forward(psi0, model, window, schedule, dt, table, filter_ripple,
+                                     filter_transition, boundary_limit, deflate_eigenvectors)
     filtered_norm = psi.norm()
-    if filtered_norm <= 1e-7 * psi0.norm():
-        zero_times = np.array(schedule)
-        return TraceSeries(zero_times, np.zeros_like(zero_times), "completeness_defect",
+    if forward is None:
+        return TraceSeries(np.array(schedule), np.zeros(len(schedule)), "completeness_defect",
                            metadata={"filtered_norm": filtered_norm,
                                      "window": tuple(window), "dt": dt})
-
-    forward = _snapshots(psi.values, _Stepper(GridOperator(ham_full, grid), 1j * dt), 0.0,
-                         schedule, boundary_limit)
-    scale = float(np.sum(np.abs(psi.values) ** 2))
-    channel_norms = {}
-    channel_paths = {}
-    for a in TWO_CLUSTERS:
-        g = channel_cutoff(a, t_ref, cutoffs, grid) * forward[t_ref]
-        channel_norms[str(a)] = float(
-            np.sqrt(grid.measure * np.sum(np.abs(g) ** 2)))
-        # marching backward through the schedule gives e^{-i tau H_a} phi_a
-        # directly; off-channel slivers are tiny, so the breach guard runs
-        # against the filtered state's scale rather than each sliver's own
-        back = _Stepper(GridOperator(model.truncated(a), grid), -1j * dt)
-        channel_paths[a] = _snapshots(g, back, t_ref, reversed(schedule), boundary_limit,
-                                      reference=scale)
-    defects = []
-    for t in schedule:
-        total = np.zeros(grid.shape, dtype=np.complex128)
-        for a in channel_paths:
-            total = total + channel_paths[a][t]
-        defects.append(float(
-            np.sqrt(grid.measure * np.sum(np.abs(forward[t] - total) ** 2))))
+    t_ref = schedule[-1]
+    # marching backward through the schedule gives e^{-i tau H_a} phi_a directly;
+    # its first state, at t_ref, is the cut state itself
+    paths = {a: _cut_and_back(a, t_ref, forward[t_ref], psi, model, cutoffs, dt,
+                              schedule[::-1], boundary_limit) for a in TWO_CLUSTERS}
+    defects = [WaveFunction(psi.grid, forward[t] - sum(p[t] for p in paths.values())).norm()
+               for t in schedule]
     meta = {"filtered_norm": filtered_norm, "window": tuple(window), "dt": dt,
             "t_ref": t_ref, "deflated": len(tuple(deflate_eigenvectors))}
-    meta.update({f"channel_norm_{k}": v for k, v in channel_norms.items()})
+    meta.update({f"channel_norm_{a!s}": WaveFunction(psi.grid, p[t_ref]).norm()
+                 for a, p in paths.items()})
     return TraceSeries(np.array(schedule), np.array(defects), "completeness_defect",
                        metadata=meta)

@@ -58,23 +58,20 @@ class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: tuple[WaveFunction, ...]
     residuals: np.ndarray
-    method: str
-    tol: float
 
     def __post_init__(self):
         if np.any(np.diff(self.eigenvalues) < -1e-12):
             raise SolverError("eigenvalues not ascending")
 
 
-def _eigen_result(op: GridOperator, evals: np.ndarray, evecs: np.ndarray, columns,
-                  method: str, tol: float) -> EigenResult:
+def _eigen_result(op: GridOperator, evals: np.ndarray, evecs: np.ndarray, columns) -> EigenResult:
     """Eigenpairs from the unit ``columns`` of ``evecs``, with ||H psi - lambda psi||."""
     grid = op.grid
     scale = 1.0 / np.sqrt(grid.measure)  # unit columns -> unit grid norm
     vectors = tuple(WaveFunction(grid, evecs[:, j].reshape(grid.shape) * scale) for j in columns)
     residuals = np.array([(apply_hamiltonian(v, op) - v.scaled(lam)).norm()
                           for v, lam in zip(vectors, evals)])
-    return EigenResult(evals, vectors, residuals, method=method, tol=tol)
+    return EigenResult(evals, vectors, residuals)
 
 
 def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenResult:
@@ -115,7 +112,7 @@ def dense_spectrum(ham: HamiltonianSpec, grid: GridSpec, count: int) -> EigenRes
     evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, count - 1], overwrite_a=True)
     if pt:  # e^{-i pi/4} / sqrt 2 = (1 - i) / 2 exactly
         evecs = ((evecs + evecs[m]) + 1j * (evecs[m] - evecs)) / 2.0
-    return _eigen_result(op, evals, evecs, range(count), "dense", 1e-9)
+    return _eigen_result(op, evals, evecs, range(count))
 
 
 def iterative_lowest(ham: HamiltonianSpec, grid: GridSpec, count: int,
@@ -152,7 +149,7 @@ def iterative_lowest(ham: HamiltonianSpec, grid: GridSpec, count: int,
     except ArpackError as exc:  # no convergence, or H v0 = 0 for the zero operator
         raise SolverError(f"ARPACK failed on the grid operator: {exc}") from exc
     order = np.argsort(evals)
-    return _eigen_result(op, evals[order], evecs, order, "iterative-subspace", tol)
+    return _eigen_result(op, evals[order], evecs, order)
 
 
 @dataclass(frozen=True)

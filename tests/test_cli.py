@@ -156,6 +156,15 @@ def test_value_a_constructor_rejects_is_a_config_error(tmp_path, capsys, line, b
     assert "config error" in capsys.readouterr().err
 
 
+def test_potential_alive_at_the_box_edge_is_a_config_error(tmp_path, capsys):
+    # the well 2 sech^2(x) keeps 1.3e-3 of its depth at x = 4, far above 1e-10
+    text = SHIPPED_THRESHOLDS.read_text()
+    assert "half_extent = 32.0" in text
+    cfg = _write(tmp_path, text.replace("half_extent = 32.0", "half_extent = 4.0"))
+    assert main(["thresholds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "does not decay at the boundary" in capsys.readouterr().err
+
+
 _VALUES = st.one_of(
     st.sampled_from(("1", "0", "-1", "8", "256", "16.0", "1e999", "nan", "0x10", "5%",
                      "%(x)s", "%%", "zero", "poschl_teller", "gaussian_well", "tabulated")),

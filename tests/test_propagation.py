@@ -233,6 +233,25 @@ def test_wave_operator_stabilization_trace():
     assert np.all(np.diff(series.values) < 0)
 
 
+def test_one_forward_march_equals_one_march_per_time():
+    # the trace filters and marches once; each approximant marches from t = 0 alone
+    from scatterlab.propagation import wave_operator_cauchy
+    from scatterlab.experiments import dynamics_model, bound_ground_1d, product_state
+
+    model = dynamics_model()
+    grid = make_grid(2, 128, 48.0)
+    _, _, xg = bound_ground_1d(model, ClusterId.PHOTON_FREE, 128, 48.0)
+    yp = gaussian_packet(make_grid(1, 128, 48.0), 4.0, 0.5, 4.0)
+    psi0 = product_state(grid, xg.values, yp.values)
+    args = (ClusterId.PHOTON_FREE, psi0, model, (-0.7, -0.4), CutoffSpec(delta=0.12, eps=0.02))
+    kwargs = dict(dt=0.05, filter_transition=0.25, boundary_limit=1e-3)
+    schedule = (2.0, 3.0, 4.0)
+    series = wave_operator_cauchy(*args, schedule, **kwargs)
+    phis = [wave_operator_approx(*args, t=t, **kwargs) for t in schedule]
+    assert phis[0].norm() > 0.1
+    assert np.array_equal(series.values, [(phis[j + 1] - phis[j]).norm() for j in range(2)])
+
+
 @pytest.mark.parametrize("caller", ["mourre_report", "local_decay_trace",
                                     "wave_operator_approx", "completeness_defect"])
 def test_every_window_caller_rejects_a_threshold(caller):
