@@ -29,6 +29,7 @@ from .lattice import GridSpec, make_grid, gaussian_packet, write_wavefunction
 from .model import ThreeBodyModel
 from .operators import PotentialSpec
 from .propagation import (
+    DEFAULT_BOUNDARY_LIMIT,
     CutoffSpec,
     PropagatorSpec,
     completeness_defect,
@@ -170,6 +171,13 @@ def parse_cutoffs(cp) -> CutoffSpec:
     )
 
 
+def parse_schedule(cp) -> tuple[float, float]:
+    """[schedule] dt and boundary_limit, shared by the four dynamical experiments."""
+    _require_section(cp, "schedule")
+    return (_get(cp, "schedule", "dt", float, required=True),
+            _get(cp, "schedule", "boundary_limit", float, default=DEFAULT_BOUNDARY_LIMIT))
+
+
 def parse_window(cp):
     _require_section(cp, "window")
     return (_get(cp, "window", "lo", float, required=True),
@@ -217,20 +225,13 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
 
     elif experiment == "thresholds":
         model, grid = _model_on_grid(cp)
-        table = threshold_table(model, grid)
-        rows = [(str(a), lam) for a in TWO_CLUSTERS for lam in table.per_cluster[a]]
-        rows.append(("zero", 0.0))
-        sio.write_csv(out(""), ("cluster", "threshold"), rows)
+        sio.write_csv(out(""), *xp.threshold_csv(threshold_table(model, grid)))
 
     elif experiment == "dispersion":
         model, grid = _model_on_grid(cp)
         _require_section(cp, "dispersion")
         svals = _float_list(_get(cp, "dispersion", "s_values", str, required=True))
-        curve = dispersion_scan(model, grid, svals)
-        rows = [(s, l, l - s * s, r, bool(f)) for s, l, r, f in
-                zip(curve.s_values, curve.lambdas, curve.residuals, curve.flagged)]
-        sio.write_csv(out(""), ("s", "lambda", "lambda_minus_s2", "residual", "flagged"),
-                      rows)
+        sio.write_csv(out(""), *xp.dispersion_csv(dispersion_scan(model, grid, svals)))
 
     elif experiment == "mourre":
         model, grid = _model_on_grid(cp)
@@ -241,11 +242,8 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         boundary_tol = _get(cp, "window", "boundary_tol", float, default=5e-2)
         report = mourre_report(energy, window, model, grid, table,
                                samples=samples, seed=seed, boundary_tol=boundary_tol)
-        rows = [(i, f, report.bound, f - report.bound, report.deflated_count)
-                for i, f in enumerate(report.form_values)]
         path = out("")
-        sio.write_csv(path, ("sample", "form_value", "bound", "margin",
-                             "eigen_deflated_count"), rows)
+        sio.write_csv(path, *xp.mourre_csv(report))
         with open(path, "a", newline="\n") as fh:
             fh.write(f"# summary: min_form={sio.fmt(report.min_form)} "
                      f"violations={report.violations} "
@@ -266,13 +264,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         pset = build_partition(width)
         model = parse_model(cp) if cp.has_section("model") else None
         report = verify_partition(pset, grid, model=model)
-        rows = [("sum_sq_max_dev", report.sum_sq_max_dev),
-                ("range_violations", report.range_violations),
-                ("support_violations", report.support_violations),
-                ("homogeneity_max_dev", report.homogeneity_max_dev),
-                ("violations", len(report.violations))]
-        rows += [(f"gradient_C[{k}]", v) for k, v in report.gradient_constants.items()]
-        sio.write_csv(out(""), ("metric", "value"), rows)
+        sio.write_csv(out(""), *xp.partition_csv(report))
         fields = pset.sample_on_grid(grid)
         from .lattice import WaveFunction
         for a, vals in fields.items():
@@ -283,8 +275,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
 
     elif experiment == "evolve":
         model, grid = _model_on_grid(cp)
-        _require_section(cp, "schedule")
-        dt = _get(cp, "schedule", "dt", float, required=True)
+        dt, limit = parse_schedule(cp)
         horizon = _get(cp, "schedule", "horizon", float, required=True)
         _require_section(cp, "packet")
         momenta = _float_list(_get(cp, "packet", "axis_momenta", str,
@@ -295,7 +286,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
                                width)
         ham = model.full() if grid.particles == 2 else model.subsystem(ClusterId.PHOTON_FREE)
         final, traces = evolve(psi0, PropagatorSpec(ham, dt=dt), horizon,
-                               observables=("norm", "energy"))
+                               boundary_limit=limit, observables=("norm", "energy"))
         for name, series in traces.items():
             sio.write_csv(out(name), ("t", name), list(zip(series.times, series.values)))
         write_wavefunction(out("final", "dswf"), final)
@@ -307,9 +298,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
     elif experiment in ("local-decay", "min-velocity", "channels"):
         model, grid = _model_on_grid(cp)
         window = parse_window(cp)
-        _require_section(cp, "schedule")
-        dt = _get(cp, "schedule", "dt", float, required=True)
-        limit = _get(cp, "schedule", "boundary_limit", float, default=1e-6)
+        dt, limit = parse_schedule(cp)
         _require_section(cp, "packet")
         momenta = _float_list(_get(cp, "packet", "axis_momenta", str, required=True))
         width = _get(cp, "packet", "width", float, default=6.0)
@@ -343,6 +332,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
 
     elif experiment == "verify-all":
         results = xp.verify_all(seed=seed, out_dir=out_dir, fast=fast)
+        files += [os.path.join(out_dir, f"{r.name}.csv") for r in results if not r.skipped]
         rows = [(r.name, "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL"))
                 for r in results]
         sio.write_csv(out("summary"), ("check", "status"), rows)

@@ -121,13 +121,6 @@ def _apply_momentum_array(wf: WaveFunction, marr: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(marr * np.fft.fftn(wf.values))
 
 
-COMMUTATOR_FORMULAS = (
-    "free", "full",
-    "subsystem:(y)(x0)", "subsystem:(x)(y0)", "subsystem:(xy)(0)",
-    "fibered:(y)(x0)", "fibered:(x)(y0)", "fibered:(xy)(0)",
-)
-
-
 def analytic_commutator_apply(wf: WaveFunction, which: str, model: ThreeBodyModel,
                               s: float | None = None) -> WaveFunction:
     """Apply the closed-form first-commutator operator named by ``which``.

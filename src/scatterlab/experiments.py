@@ -1,13 +1,18 @@
 """Verification experiments and the acceptance checks built on them.
 
 Every check is a self-contained numerical experiment with pinned scales and
-tolerances, deterministic under its seed, returning a :class:`CheckResult`
-and optionally writing its data rows as CSV.  The CLI drives the same
-functions, so command-line runs and the test suite exercise one code path.
+tolerances, deterministic under its seed.  Its body returns the verdict, the
+values and the CSV rows; one harness, :func:`_check`, times the body, names
+the check by :func:`_check_name`, writes ``<out_dir>/<name>.csv`` and builds
+the :class:`CheckResult`.  Each shared result type has one CSV builder
+(:func:`threshold_csv`, :func:`dispersion_csv`, :func:`mourre_csv`,
+:func:`partition_csv`) that the checks and the CLI both write through, so
+command-line runs and the test suite exercise one code path.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 import zlib
@@ -24,6 +29,7 @@ from .commutators import (
     apply_dilation,
     commutator_form,
     continuum_edge,
+    MourreReport,
     mourre_report,
     sqrt_lemma_eval,
 )
@@ -38,7 +44,7 @@ from .operators import (
     poschl_teller,
     quadratic_symbol,
 )
-from .partition import build_partition, verify_partition
+from .partition import PartitionReport, build_partition, verify_partition
 from .propagation import (
     CutoffSpec,
     PropagatorSpec,
@@ -48,6 +54,7 @@ from .propagation import (
     minimal_velocity_trace,
 )
 from .spectral import (
+    DispersionCurve,
     ThresholdTable,
     dense_spectrum,
     dispersion_scan,
@@ -93,13 +100,65 @@ def _seed_for(seed: int, name: str) -> int:
     return int(np.random.SeedSequence([seed, zlib.crc32(name.encode())]).generate_state(1)[0])
 
 
-def _maybe_csv(out_dir, name, header, rows):
-    if out_dir is None:
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{name}.csv")
-    sio.write_csv(path, header, rows)
-    return path
+def _check_name(fn) -> str:
+    """The name a check reports and writes its CSV under: ``check_x_y`` -> ``x-y``."""
+    return fn.__name__.replace("check_", "").replace("_", "-")
+
+
+def _check(body):
+    """Turn ``body(seed) -> (passed, values, (header, rows)[, message])`` into a check.
+
+    The check ``check_x(seed=DEFAULT_SEED, out_dir=None)`` times the body,
+    writes its rows to ``<out_dir>/<name>.csv`` when ``out_dir`` is given,
+    creating the directory, and returns the :class:`CheckResult`.
+    """
+    name = _check_name(body)
+
+    @functools.wraps(body)
+    def check(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
+        t0 = time.perf_counter()
+        passed, values, (header, rows), *message = body(seed)
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            sio.write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)
+        return CheckResult(name=name, passed=bool(passed),
+                           runtime=time.perf_counter() - t0, values=values,
+                           message="".join(message))
+
+    return check
+
+
+def threshold_csv(table: ThresholdTable):
+    """Header and rows of a threshold table: each subsystem eigenvalue, then zero."""
+    rows = [(str(a), lam) for a in TWO_CLUSTERS for lam in table.per_cluster[a]]
+    rows.append(("zero", 0.0))
+    return ("cluster", "threshold"), rows
+
+
+def dispersion_csv(curve: DispersionCurve):
+    """Header and rows of a dispersion scan, one fiber per row."""
+    return (("s", "lambda", "lambda_minus_s2", "residual", "flagged"),
+            [(s, lam, lam - s * s, r, bool(f)) for s, lam, r, f in
+             zip(curve.s_values, curve.lambdas, curve.residuals, curve.flagged)])
+
+
+def mourre_csv(report: MourreReport):
+    """Header and rows of a Mourre report, one sample per row."""
+    return (("sample", "form_value", "bound", "margin", "eigen_deflated_count"),
+            [(i, f, report.bound, f - report.bound, report.deflated_count)
+             for i, f in enumerate(report.form_values)])
+
+
+def partition_csv(report: PartitionReport):
+    """Header and rows of a partition verification, one metric per row."""
+    rows = [("sum_sq_max_dev", report.sum_sq_max_dev),
+            ("range_violations", report.range_violations),
+            ("support_violations", report.support_violations),
+            ("homogeneity_max_dev", report.homogeneity_max_dev),
+            ("violations", len(report.violations))]
+    rows += [(f"gradient_C[{k}]", v) for k, v in report.gradient_constants.items()]
+    rows += [(f"ray_decay_at_R16[{k}]", v) for k, v in report.ray_decay.items()]
+    return ("metric", "value"), rows
 
 
 def admissible_random_state(grid: GridSpec, rng: np.random.Generator,
@@ -157,8 +216,8 @@ def brute_force_edge(s: float) -> float:
     return float(np.min(symbol(q2)))
 
 
-def check_continuum_edge(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_continuum_edge(seed):
     rng = np.random.default_rng(_seed_for(seed, "continuum-edge"))
     svals = rng.uniform(-3.0, 3.0, size=100)
     rows = []
@@ -169,21 +228,16 @@ def check_continuum_edge(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
         diff = abs(closed - brute)
         worst = max(worst, diff)
         rows.append((s, closed, brute, diff))
-    _maybe_csv(out_dir, "continuum-edge", ("s", "closed_form", "brute_force", "abs_diff"), rows)
-    return CheckResult(
-        name="continuum-edge",
-        passed=worst <= 1e-6,
-        runtime=time.perf_counter() - t0,
-        values={"max_abs_diff": worst},
-    )
+    return (worst <= 1e-6, {"max_abs_diff": worst},
+            (("s", "closed_form", "brute_force", "abs_diff"), rows))
 
 
 # ---------------------------------------------------------------------------
 # check 2: quadrature identity for the singular dispersion
 # ---------------------------------------------------------------------------
 
-def check_sqrt_identity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_sqrt_identity(seed):
     rows = []
     worst = 0.0
     for k in (0.01, 0.1, 1.0, 2.0, 10.0):
@@ -191,13 +245,7 @@ def check_sqrt_identity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
         rel = abs(val - k) / k
         worst = max(worst, rel)
         rows.append((k, val, rel))
-    _maybe_csv(out_dir, "sqrt-identity", ("k", "quadrature", "rel_error"), rows)
-    return CheckResult(
-        name="sqrt-identity",
-        passed=worst <= 1e-6,
-        runtime=time.perf_counter() - t0,
-        values={"max_rel_error": worst},
-    )
+    return worst <= 1e-6, {"max_rel_error": worst}, (("k", "quadrature", "rel_error"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +273,14 @@ def pair_sector_hamiltonian(model: ThreeBodyModel, s: float) -> HamiltonianSpec:
     return HamiltonianSpec(sym, ((model.v23, "internal"),))
 
 
-def check_pair_dispersion(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
+@_check
+def check_pair_dispersion(seed):
     """The (xy)(0) fiber energies against the total-momentum sectors of H_a.
 
     The reference solves each sector in the relative coordinate on a larger
     box, without going through ``ThreeBodyModel.reduced``.  Both the energies
     and the fitted quadratic transport coefficients must agree.
     """
-    t0 = time.perf_counter()
     model = default_model()
     grid = make_grid(1, 512, 32.0)
     svals = (0.0, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2)
@@ -250,8 +298,6 @@ def check_pair_dispersion(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult
         for s, lam, ref, r, f in zip(curve.s_values, curve.lambdas, reference,
                                      curve.residuals, curve.flagged)
     ]
-    _maybe_csv(out_dir, "pair-dispersion",
-               ("s", "lambda", "lambda_reference", "residual", "flagged"), rows)
     worst = float(np.max(np.abs(curve.lambdas - reference)))
     dev_tol = 5e-3 * (1.0 + abs(curve.lambda0))
     dev_ok = worst <= dev_tol
@@ -263,28 +309,24 @@ def check_pair_dispersion(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult
             f"{worst:.3e}, coefficient {curve.quad_coefficient:.4f} against "
             f"{ref_coefficient:.4f}"
         )
-    return CheckResult(
-        name="pair-dispersion",
-        passed=dev_ok and coef_ok,
-        runtime=time.perf_counter() - t0,
-        values={
-            "lambda0": curve.lambda0,
-            "max_abs_diff": worst,
-            "deviation_tol": dev_tol,
-            "quad_coefficient": curve.quad_coefficient,
-            "reference_quad_coefficient": ref_coefficient,
-            "linear_coefficient": curve.linear_coefficient,
-        },
-        message=message,
-    )
+    values = {
+        "lambda0": curve.lambda0,
+        "max_abs_diff": worst,
+        "deviation_tol": dev_tol,
+        "quad_coefficient": curve.quad_coefficient,
+        "reference_quad_coefficient": ref_coefficient,
+        "linear_coefficient": curve.linear_coefficient,
+    }
+    return (dev_ok and coef_ok, values,
+            (("s", "lambda", "lambda_reference", "residual", "flagged"), rows), message)
 
 
 # ---------------------------------------------------------------------------
 # check 4: fiber shift law for the photon-escape cluster
 # ---------------------------------------------------------------------------
 
-def check_fiber_shift(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_fiber_shift(seed):
     model = default_model()
     grid = make_grid(1, 256, 16.0)
     count = 6
@@ -297,21 +339,16 @@ def check_fiber_shift(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
         worst = max(worst, float(diff))
         for j in range(count):
             rows.append((s, j, shifted.eigenvalues[j], base.eigenvalues[j] + abs(s)))
-    _maybe_csv(out_dir, "fiber-shift", ("s", "index", "fiber_eigenvalue", "base_plus_s"), rows)
-    return CheckResult(
-        name="fiber-shift",
-        passed=worst <= 1e-9,
-        runtime=time.perf_counter() - t0,
-        values={"max_abs_diff": worst},
-    )
+    return (worst <= 1e-9, {"max_abs_diff": worst},
+            (("s", "index", "fiber_eigenvalue", "base_plus_s"), rows))
 
 
 # ---------------------------------------------------------------------------
 # check 5: virial identity on every converged subsystem eigenpair
 # ---------------------------------------------------------------------------
 
-def check_virial(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_virial(seed):
     model = default_model()
     grid = make_grid(1, 512, 32.0)
     rows = []
@@ -337,14 +374,8 @@ def check_virial(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
             passed = passed and ok
             worst = max(worst, abs(form) / max(bound, 1e-300))
             rows.append((str(a), method, lam, form, bound, ok))
-    _maybe_csv(out_dir, "virial",
-               ("cluster", "method", "eigenvalue", "form_value", "bound", "ok"), rows)
-    return CheckResult(
-        name="virial",
-        passed=passed,
-        runtime=time.perf_counter() - t0,
-        values={"worst_ratio": worst, "pairs": len(rows)},
-    )
+    return (passed, {"worst_ratio": worst, "pairs": len(rows)},
+            (("cluster", "method", "eigenvalue", "form_value", "bound", "ok"), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +390,8 @@ def _fibered_external_constant(a: ClusterId, s: float) -> float:
     return 0.0
 
 
-def check_commutator_paths(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_commutator_paths(seed):
     model = default_model()
     grid1 = make_grid(1, 256, 32.0)
     # V23 acts on the pair's grid coordinate u as V23(2u); half the spacing
@@ -410,15 +441,8 @@ def check_commutator_paths(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResul
             fib = commutator_form(psi, model.reduced(a, s), conj)
             compare(f"fibered:{a.value}", psi,
                     fib + _fibered_external_constant(a, s), s=s)
-    _maybe_csv(out_dir, "commutator-paths",
-               ("formula", "s", "analytic_form", "two_inner_products", "abs_diff", "ok"),
-               rows)
-    return CheckResult(
-        name="commutator-paths",
-        passed=passed,
-        runtime=time.perf_counter() - t0,
-        values={"worst_rel_diff": worst, "comparisons": len(rows)},
-    )
+    return (passed, {"worst_rel_diff": worst, "comparisons": len(rows)},
+            (("formula", "s", "analytic_form", "two_inner_products", "abs_diff", "ok"), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +453,12 @@ def free_threshold_table() -> ThresholdTable:
     return ThresholdTable({a: np.array([]) for a in TWO_CLUSTERS})
 
 
-def check_free_positivity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
+@_check
+def check_free_positivity(seed):
     # the window is 0.2 wide, so filtered states carry spatial coherence of
     # order 1/0.1 = 10s of length units; the box must dominate that scale or
     # the lattice virial identity (exact box eigenvectors have vanishing
     # form) eats the positivity
-    t0 = time.perf_counter()
     grid = make_grid(2, 128, 64.0)
     report = mourre_report(
         E=1.0, window=(0.9, 1.1), model=free_model(), grid=grid,
@@ -442,27 +466,19 @@ def check_free_positivity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult
         seed=_seed_for(seed, "free-positivity"), deflation_count=0,
         boundary_tol=5e-2,
     )
-    rows = [(i, f, report.bound, f - report.bound, report.deflated_count)
-            for i, f in enumerate(report.form_values)]
-    _maybe_csv(out_dir, "free-positivity",
-               ("sample", "form_value", "bound", "margin", "eigen_deflated_count"), rows)
     allowance = 0.02
-    min_form = report.min_form
-    return CheckResult(
-        name="free-positivity",
-        passed=min_form >= 0.9 - allowance,
-        runtime=time.perf_counter() - t0,
-        values={"min_form": min_form, "bound": report.bound,
-                "violations": report.violations, "samples": len(report.form_values)},
-    )
+    return (report.min_form >= 0.9 - allowance,
+            {"min_form": report.min_form, "bound": report.bound,
+             "violations": report.violations, "samples": len(report.form_values)},
+            mourre_csv(report))
 
 
 # ---------------------------------------------------------------------------
 # check 8: interacting positivity report at negative nonthreshold energy
 # ---------------------------------------------------------------------------
 
-def check_interacting_positivity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_interacting_positivity(seed):
     model = default_model()
     table = threshold_table(model, make_grid(*THRESHOLD_GRID))
     # box large against the window's spatial coherence, as in the free check
@@ -474,44 +490,23 @@ def check_interacting_positivity(seed: int = DEFAULT_SEED, out_dir=None) -> Chec
         samples=24, seed=_seed_for(seed, "interacting-positivity"),
         deflation_count=40, boundary_tol=5e-2,
     )
-    rows = [(i, f, report.bound, f - report.bound, report.deflated_count)
-            for i, f in enumerate(report.form_values)]
-    _maybe_csv(out_dir, "interacting-positivity",
-               ("sample", "form_value", "bound", "margin", "eigen_deflated_count"), rows)
-    return CheckResult(
-        name="interacting-positivity",
-        passed=bool(np.all(report.form_values >= 0.0)),
-        runtime=time.perf_counter() - t0,
-        values={"min_form": report.min_form, "bound": report.bound,
-                "worst_margin": report.worst_margin,
-                "deflated": report.deflated_count, "gap": report.gap},
-    )
+    return (np.all(report.form_values >= 0.0),
+            {"min_form": report.min_form, "bound": report.bound,
+             "worst_margin": report.worst_margin,
+             "deflated": report.deflated_count, "gap": report.gap},
+            mourre_csv(report))
 
 
 # ---------------------------------------------------------------------------
 # check 9: partition of unity identities on the grid
 # ---------------------------------------------------------------------------
 
-def check_partition(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
-    t0 = time.perf_counter()
-    pset = build_partition()
-    grid = make_grid(2, 256, 8.0)
-    report = verify_partition(pset, grid, model=default_model())
-    rows = [("sum_sq_max_dev", report.sum_sq_max_dev),
-            ("range_violations", report.range_violations),
-            ("support_violations", report.support_violations),
-            ("homogeneity_max_dev", report.homogeneity_max_dev)]
-    rows += [(f"gradient_C[{k}]", v) for k, v in report.gradient_constants.items()]
-    rows += [(f"ray_decay_at_R16[{k}]", v) for k, v in report.ray_decay.items()]
-    _maybe_csv(out_dir, "partition", ("metric", "value"), rows)
-    return CheckResult(
-        name="partition",
-        passed=report.ok and report.sum_sq_max_dev <= 1e-12,
-        runtime=time.perf_counter() - t0,
-        values={"sum_sq_max_dev": report.sum_sq_max_dev,
-                "violations": len(report.violations)},
-        message="; ".join(report.violations),
-    )
+@_check
+def check_partition(seed):
+    report = verify_partition(build_partition(), make_grid(2, 256, 8.0), model=default_model())
+    return (report.ok and report.sum_sq_max_dev <= 1e-12,
+            {"sum_sq_max_dev": report.sum_sq_max_dev, "violations": len(report.violations)},
+            partition_csv(report), "; ".join(report.violations))
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +520,8 @@ def _linear_speed(trace) -> float:
     return float(coef[1])
 
 
-def check_propagator(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_propagator(seed):
     values: dict = {}
     ok = True
     rows = []
@@ -578,21 +573,15 @@ def check_propagator(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
         ok &= abs(v_p - 1.0) <= 0.02
         rows.append((f"photon_speed_k{k0}", v_p))
 
-    _maybe_csv(out_dir, "propagator", ("metric", "value"), rows)
-    return CheckResult(
-        name="propagator",
-        passed=bool(ok),
-        runtime=time.perf_counter() - t0,
-        values=values,
-    )
+    return ok, values, (("metric", "value"), rows)
 
 
 # ---------------------------------------------------------------------------
 # check 11: local decay (weighted-evolution integrability)
 # ---------------------------------------------------------------------------
 
-def check_local_decay(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_local_decay(seed):
     values: dict = {}
     ok = True
     rows = []
@@ -639,21 +628,15 @@ def check_local_decay(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
     ok &= control_ratio >= 1.8
     rows += [("eigenstate", t, v) for t, v in zip(series.times, series.values)]
 
-    _maybe_csv(out_dir, "local-decay", ("case", "t", "integral"), rows)
-    return CheckResult(
-        name="local-decay",
-        passed=bool(ok),
-        runtime=time.perf_counter() - t0,
-        values=values,
-    )
+    return ok, values, (("case", "t", "integral"), rows)
 
 
 # ---------------------------------------------------------------------------
 # check 12: minimal velocity (escape from the shrinking region)
 # ---------------------------------------------------------------------------
 
-def check_minimal_velocity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_minimal_velocity(seed):
     values: dict = {}
     ok = True
     rows = []
@@ -686,21 +669,15 @@ def check_minimal_velocity(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResul
     ok &= series.final() >= 0.9
     rows += [("eigenstate", t, v) for t, v in zip(series.times, series.values)]
 
-    _maybe_csv(out_dir, "min-velocity", ("case", "t", "cutoff_norm"), rows)
-    return CheckResult(
-        name="minimal-velocity",
-        passed=bool(ok),
-        runtime=time.perf_counter() - t0,
-        values=values,
-    )
+    return ok, values, (("case", "t", "cutoff_norm"), rows)
 
 
 # ---------------------------------------------------------------------------
 # check 13: channel decomposition defect at negative energies
 # ---------------------------------------------------------------------------
 
-def check_channels(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_channels(seed):
     values: dict = {}
     ok = True
     rows = []
@@ -756,13 +733,7 @@ def check_channels(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
     ok &= free_final <= 1e-8
     rows += [("free", t, v) for t, v in zip(free_series.times, free_series.values)]
 
-    _maybe_csv(out_dir, "channels", ("case", "t", "defect"), rows)
-    return CheckResult(
-        name="channels",
-        passed=bool(ok),
-        runtime=time.perf_counter() - t0,
-        values=values,
-    )
+    return ok, values, (("case", "t", "defect"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -770,29 +741,22 @@ def check_channels(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _determinism_pass(seed: int, out_dir: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
-    res = check_continuum_edge(seed=seed, out_dir=out_dir)
-    files.append(os.path.join(out_dir, "continuum-edge.csv"))
+    """Write a check's CSV and the CLI's threshold and dispersion CSVs into ``out_dir``."""
+    first = check_continuum_edge(seed=seed, out_dir=out_dir).name
     model = default_model()
-    table = threshold_table(model, make_grid(1, 256, 16.0))
-    rows = [(str(a), lam) for a in TWO_CLUSTERS for lam in table.per_cluster[a]]
-    rows.append(("zero", 0.0))
-    sio.write_csv(os.path.join(out_dir, "thresholds.csv"), ("cluster", "threshold"), rows)
-    files.append(os.path.join(out_dir, "thresholds.csv"))
-    curve = dispersion_scan(model, make_grid(1, 256, 16.0), (0.0, 0.1, -0.1))
-    sio.write_csv(os.path.join(out_dir, "dispersion.csv"),
-                  ("s", "lambda", "lambda_minus_s2", "residual", "flagged"),
-                  [(s, l, l - s * s, r, bool(f)) for s, l, r, f in
-                   zip(curve.s_values, curve.lambdas, curve.residuals, curve.flagged)])
-    files.append(os.path.join(out_dir, "dispersion.csv"))
-    return files
+    grid = make_grid(1, 256, 16.0)
+    for name, (header, rows) in (
+            ("thresholds", threshold_csv(threshold_table(model, grid))),
+            ("dispersion", dispersion_csv(dispersion_scan(model, grid, (0.0, 0.1, -0.1))))):
+        sio.write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)
+    return [os.path.join(out_dir, f"{name}.csv")
+            for name in (first, "thresholds", "dispersion")]
 
 
-def check_determinism(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
+@_check
+def check_determinism(seed):
     import tempfile
 
-    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         files_a = _determinism_pass(seed, os.path.join(tmp, "a"))
         files_b = _determinism_pass(seed, os.path.join(tmp, "b"))
@@ -801,16 +765,8 @@ def check_determinism(seed: int = DEFAULT_SEED, out_dir=None) -> CheckResult:
             with open(fa, "rb") as f1, open(fb, "rb") as f2:
                 if f1.read() != f2.read():
                     identical = False
-        if out_dir is not None:
-            sio.write_csv(os.path.join(out_dir, "determinism.csv"),
-                          ("file", "identical"),
-                          [(os.path.basename(f), identical) for f in files_a])
-    return CheckResult(
-        name="determinism",
-        passed=identical,
-        runtime=time.perf_counter() - t0,
-        values={"files_compared": len(files_a)},
-    )
+    return (identical, {"files_compared": len(files_a)},
+            (("file", "identical"), [(os.path.basename(f), identical) for f in files_a]))
 
 
 ALL_CHECKS = (
@@ -853,8 +809,7 @@ def verify_all(seed: int = DEFAULT_SEED, out_dir=None, fast: bool = False,
         try:
             result = chk(seed=seed, out_dir=out_dir)
         except ScatterError as exc:
-            result = CheckResult(name=chk.__name__.replace("check_", "").replace("_", "-"),
-                                 passed=False, runtime=0.0, skipped=True,
+            result = CheckResult(name=_check_name(chk), passed=False, runtime=0.0, skipped=True,
                                  message=f"precondition: {exc}")
         if printer is not None:
             printer(result.line())

@@ -1,5 +1,6 @@
 import contextlib
 import glob
+import hashlib
 import os
 import tempfile
 from pathlib import Path
@@ -118,6 +119,23 @@ def test_shipped_config_parses(path):
             parse(cp)
 
 
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["thresholds", "dispersion", "partition", "evolve"])
+def test_shipped_config_runs(tmp_path, name):
+    assert main([name, "--config", str(SHIPPED / f"{name}.ini"),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+def test_evolve_config_honours_its_boundary_limit(tmp_path, capsys):
+    text = (SHIPPED / "evolve.ini").read_text()
+    assert "boundary_limit = 1e-5\n" in text
+    cfg = _write(tmp_path, text.replace("boundary_limit = 1e-5\n", ""))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "boundary mass 1.006e-06 exceeded 1.0e-06" in capsys.readouterr().err
+
+
 def test_duplicate_section_rejected(tmp_path):
     cfg = _write(tmp_path, THRESHOLDS_INI + "\n[grid]\npoints = 64\n")
     rc = main(["thresholds", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -142,7 +160,7 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, raw):
     assert "config error" in capsys.readouterr().err
 
 
-SHIPPED_THRESHOLDS = Path(__file__).resolve().parent.parent / "configs" / "thresholds.ini"
+SHIPPED_THRESHOLDS = SHIPPED / "thresholds.ini"
 
 
 @pytest.mark.parametrize("line, bad", [("points = 512", "points = 12"),
@@ -430,6 +448,22 @@ def test_verify_all_exit_codes(tmp_path, monkeypatch, outcomes, code):
         {"pass": "PASS", "skip": "SKIP", "fail": "FAIL"}[o] for o in outcomes]
     assert any(f.endswith("-summary.txt") for f in files)
     assert sum(f.endswith(".manifest.txt") for f in files) == 1
+
+
+def test_verify_all_manifest_checksums_every_check_csv(tmp_path, monkeypatch):
+    checks = (xp.check_sqrt_identity, xp.check_fiber_shift, _fake_check("skipped", "skip"))
+    monkeypatch.setattr(xp, "FAST_CHECKS", checks)
+    out = tmp_path / "out"
+    assert main(["verify-all", "--fast", "--out", str(out)]) == 3
+    manifest = next(out.glob("*.manifest.txt")).read_text()
+    listed = dict(line.split(" = ", 1)[1].split(" sha256:")
+                  for line in manifest.splitlines() if line.startswith("output = "))
+    csvs = sorted(f.name for f in out.glob("*.csv"))
+    assert {"sqrt-identity.csv", "fiber-shift.csv"} <= set(csvs)
+    assert sorted(name for name in listed if name.endswith(".csv")) == csvs
+    assert "skipped.csv" not in listed
+    for name, digest in listed.items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("with_config", [False, True])

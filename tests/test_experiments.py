@@ -3,7 +3,9 @@ import os
 import numpy as np
 
 from scatterlab.experiments import (
+    FAST_CHECKS,
     CheckResult,
+    _check_name,
     admissible_random_state,
     brute_force_edge,
     check_continuum_edge,
@@ -68,8 +70,19 @@ def test_free_threshold_table_trivial():
     assert np.allclose(table.thresholds, [0.0])
 
 
-def test_determinism_check():
-    assert check_determinism(seed=3).passed
+def test_determinism_check(tmp_path):
+    out = tmp_path / "not" / "yet"
+    assert check_determinism(seed=3, out_dir=str(out)).passed
+    assert (out / "determinism.csv").read_text().splitlines() == [
+        "file,identical", "continuum-edge.csv,1", "thresholds.csv,1", "dispersion.csv,1"]
+
+
+def test_each_check_reports_its_name_and_writes_one_csv_under_it(tmp_path):
+    for check in FAST_CHECKS:
+        out = tmp_path / check.__name__
+        result = check(seed=3, out_dir=str(out))
+        assert result.name == _check_name(check)
+        assert os.listdir(out) == [f"{result.name}.csv"]
 
 
 def test_verify_all_marks_precondition_failures_skipped():
