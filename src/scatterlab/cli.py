@@ -25,7 +25,7 @@ from . import experiments as xp
 from . import io as sio
 from .clusters import ClusterId, TWO_CLUSTERS
 from .errors import ChecksSkippedError, ConfigError, GridError, PotentialError, ScatterError
-from .lattice import GridSpec, make_grid, gaussian_packet, write_wavefunction
+from .lattice import GridSpec, WaveFunction, make_grid, gaussian_packet, write_wavefunction
 from .model import ThreeBodyModel
 from .operators import PotentialSpec
 from .propagation import (
@@ -212,7 +212,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         if grid.particles != 1:
             raise ConfigError("[grid] particles must be 1: the spectrum "
                               "experiment solves the one-particle subsystems")
-        count = _get(cp, "window", "count", int, default=6) if cp.has_section("window") else 6
+        count = _get(cp, "window", "count", int, default=6)
         for a in TWO_CLUSTERS:
             h = model.subsystem(a)
             res = (dense_spectrum(h, grid, count) if grid.size <= DENSE_LIMIT
@@ -257,8 +257,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         })
 
     elif experiment == "partition":
-        width = _get(cp, "partition", "width", float, default=DEFAULT_SMOOTHING_WIDTH) \
-            if cp.has_section("partition") else DEFAULT_SMOOTHING_WIDTH
+        width = _get(cp, "partition", "width", float, default=DEFAULT_SMOOTHING_WIDTH)
         # no boundary-decay check: the partition samples the model only along rays
         grid = parse_grid(cp)
         pset = build_partition(width)
@@ -266,7 +265,6 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         report = verify_partition(pset, grid, model=model)
         sio.write_csv(out(""), *xp.partition_csv(report))
         fields = pset.sample_on_grid(grid)
-        from .lattice import WaveFunction
         for a, vals in fields.items():
             path = out(f"member-{a.name.lower().replace('_', '-')}", "dswf")
             write_wavefunction(path, WaveFunction(grid, vals.astype(np.complex128)))
@@ -380,11 +378,8 @@ def main(argv=None) -> int:
         cp = _parse_ini(args.config) if args.config else configparser.ConfigParser()
         seed = args.seed if args.seed is not None else _get(
             cp, "experiment", "seed", int, default=xp.DEFAULT_SEED)
-        out_dir = args.out or (
-            _get(cp, "output", "directory", str, default="out")
-            if cp.has_section("output") else "out")
-        name = _get(cp, "experiment", "name", str, default=args.experiment) \
-            if cp.has_section("experiment") else args.experiment
+        out_dir = args.out or _get(cp, "output", "directory", str, default="out")
+        name = _get(cp, "experiment", "name", str, default=args.experiment)
         if name != args.experiment:
             raise ConfigError(
                 f"config names experiment {name!r} but {args.experiment!r} was requested")

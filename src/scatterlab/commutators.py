@@ -5,7 +5,9 @@ with the momentum factor spectral and the position factor pointwise.  The
 commutator [H, iA] is never assembled as a matrix; its quadratic form is
 evaluated from two inner products, and the closed-form right-hand sides of
 the first and second commutators are applied directly as multiplier plus
-multiplication operators for cross-checking.
+multiplication operators for cross-checking.  Those closed forms are read
+from one hand-written row per 2-cluster, and every momentum multiplier, the
+dilation's included, is applied by one FFT helper.
 
 Position weights on a periodic lattice see the sawtooth jump at the box edge,
 so every X-weighted operation requires the state to be concentrated away from
@@ -15,6 +17,7 @@ slow power-law tails (the |k|-kinetic subsystems) may relax it explicitly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,32 @@ from .spectral import (
 )
 
 DEFAULT_BOUNDARY_TOL = 1e-8
+
+
+# Each 2-cluster's closed forms in its internal grid coordinate u: its
+# potential V_a(u), the first-commutator multiplier m1(q, s) at external
+# momentum s, the second-commutator multiplier m2(q), and the constant c(s)
+# that the external coordinate adds to the fiber.  Written out by hand, not
+# derived from model.subsystem/model.reduced: they are the oracle that those
+# Hamiltonians' lattice commutators are checked against.  V23 acts on the
+# (xy)(0) coordinate u as V23(2u), and the singular mode q = s of sign(q - s)
+# takes the mean of its one-sided limits (numpy's sign at zero).  c(0) = 0 and
+# q sign(q) = |q|, so s = 0 gives the internal commutators [h_a, i A^a].
+_CLOSED_FORMS = {
+    ClusterId.PHOTON_FREE: (
+        lambda m: m.v12, lambda q, s: 2.0 * q ** 2, lambda q: 4.0 * q ** 2, abs),
+    ClusterId.ELECTRON_FREE: (
+        lambda m: m.v13, lambda q, s: np.abs(q), np.abs, lambda s: 2.0 * s * s),
+    ClusterId.PAIR_FREE: (
+        ThreeBodyModel.pair_potential,
+        lambda q, s: 0.5 * q ** 2 + 0.5 * s * q + 0.5 * q * np.sign(q - s),
+        lambda q: q ** 2 + 0.5 * np.abs(q), lambda s: 0.0),
+}
+
+
+def _in_momentum(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """Apply the Fourier multiplier ``multiplier`` to the position-space ``values``."""
+    return np.fft.ifftn(multiplier * np.fft.fftn(values))
 
 
 @dataclass(frozen=True)
@@ -96,10 +125,8 @@ def apply_dilation(wf: WaveFunction, spec: ConjugateSpec = FULL_A,
     check_boundary_concentration(wf, boundary_tol)
     out = np.zeros(wf.grid.shape, dtype=np.complex128)
     for pos, mom in _conjugate_pairs(wf.grid, spec):
-        xpsi = pos * wf.values
-        term1 = np.fft.ifftn(mom * np.fft.fftn(xpsi))
-        term2 = pos * np.fft.ifftn(mom * np.fft.fftn(wf.values))
-        out = out + 0.5 * (term1 + term2)
+        out = out + 0.5 * (_in_momentum(pos * wf.values, mom)
+                           + pos * _in_momentum(wf.values, mom))
     return WaveFunction(wf.grid, out)
 
 
@@ -117,72 +144,48 @@ def commutator_form(wf: WaveFunction, ham: HamiltonianSpec,
     return -2.0 * hpsi.inner(apsi).imag
 
 
-def _apply_momentum_array(wf: WaveFunction, marr: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(marr * np.fft.fftn(wf.values))
-
-
 def analytic_commutator_apply(wf: WaveFunction, which: str, model: ThreeBodyModel,
                               s: float | None = None) -> WaveFunction:
     """Apply the closed-form first-commutator operator named by ``which``.
 
     Two-particle formulas ("free", "full") use the full conjugate A:
     2 p^2 + |k| minus the sum of x^a . grad I^a terms.  One-particle
-    "subsystem" formulas are the internal commutators [h_a, i A^a].  The
-    "fibered" formulas are the fibers of [H_a, iA] at external momentum s:
-    for (y)(x0) and (x)(y0) the external coordinate contributes the constants
-    |s| and 2 s^2; for (xy)(0) the formula is the internal commutator
-    [H_a(s), i A^a], whose singular mode q = s takes the mean of its one-sided
-    limits (numpy's sign convention at zero).  V23 acts on the (xy)(0) grid
-    coordinate u as V23(2u), so its potential term is u d/du V23(2u), which is
-    w V23'(w) at w = 2u.
+    "subsystem:a" formulas are the internal commutators [h_a, i A^a]; the
+    "fibered:a" formulas are the fibers of [H_a, iA] at external momentum s,
+    m1(q, s) - u V_a'(u) + c(s) with the row of :data:`_CLOSED_FORMS`, and
+    "subsystem:a" is "fibered:a" at s = 0.
     """
     grid = wf.grid
-    if which == "free":
+    if which in ("free", "full"):
         if grid.particles != 2:
-            raise ClusterError("the free formula lives on the two-particle grid")
-        k = grid.momentum_mesh()
-        marr = 2.0 * k[0] ** 2 + np.abs(k[1])
-        return WaveFunction(grid, _apply_momentum_array(wf, marr))
-    if which == "full":
-        if grid.particles != 2:
-            raise ClusterError("the full formula lives on the two-particle grid")
-        k = grid.momentum_mesh()
-        x, y = grid.position_mesh()
-        w = grid.wrap(x - y)
-        marr = 2.0 * k[0] ** 2 + np.abs(k[1])
-        fld = (x * model.v12.derivative(x) + y * model.v13.derivative(y)
-               + w * model.v23.derivative(w))
-        return WaveFunction(grid, _apply_momentum_array(wf, marr) - fld * wf.values)
+            raise ClusterError(f"the {which} formula lives on the two-particle grid")
+        p, k = grid.momentum_mesh()
+        out = _in_momentum(wf.values, 2.0 * p ** 2 + np.abs(k))
+        if which == "full":
+            fld = functools.reduce(np.add, (
+                pot.virial_field(coordinate_field(grid, tag))
+                for pot, tag in ((model.v12, "x"), (model.v13, "y"), (model.v23, "x-y"))))
+            out = out - fld * wf.values
+        return WaveFunction(grid, out)
 
     try:
         kind, name = which.split(":")
         a = ClusterId(name)
     except ValueError as exc:
         raise ClusterError(f"unknown commutator formula {which!r}") from exc
+    if kind not in ("subsystem", "fibered"):
+        raise ClusterError(f"unknown commutator formula {which!r}")
     require_two_cluster(a)
     if grid.particles != 1:
         raise ClusterError("subsystem and fibered formulas live on one-particle grids")
-    if kind == "fibered" and s is None:
+    if kind == "subsystem":
+        s = 0.0
+    elif s is None:
         raise ClusterError("fibered formulas need the external momentum s")
-
-    q = grid.momentum_mesh()[0]
-    u = grid.position_mesh()[0]
-    if a is ClusterId.PHOTON_FREE:
-        marr = 2.0 * q ** 2
-        fld = u * model.v12.derivative(u)
-        const = abs(s) if kind == "fibered" else 0.0
-    elif a is ClusterId.ELECTRON_FREE:
-        marr = np.abs(q)
-        fld = u * model.v13.derivative(u)
-        const = 2.0 * s * s if kind == "fibered" else 0.0
-    else:  # PAIR_FREE
-        fld = model.pair_potential().virial_field(u)
-        const = 0.0
-        if kind == "fibered":
-            marr = 0.5 * q ** 2 + 0.5 * s * q + 0.5 * q * np.sign(q - s)
-        else:
-            marr = 0.5 * q ** 2 + 0.5 * np.abs(q)
-    out = _apply_momentum_array(wf, marr) - fld * wf.values
+    potential, m1, _, c = _CLOSED_FORMS[a]
+    fld = potential(model).virial_field(grid.position_mesh()[0])
+    out = _in_momentum(wf.values, m1(grid.momentum_mesh()[0], s)) - fld * wf.values
+    const = c(s)
     if const:
         out = out + const * wf.values
     return WaveFunction(grid, out)
@@ -192,55 +195,19 @@ def second_commutator_form(wf: WaveFunction, cluster: ClusterId,
                            model: ThreeBodyModel) -> float:
     """Quadratic form of the closed-form second commutator [[h_a, iA^a], iA^a].
 
-    (y)(x0): 4 p^2 + x.grad(x.grad V12);  (x)(y0): |k| + y.grad(y.grad V13);
-    (xy)(0): q^2 + (1/2)|q| + u.grad(u.grad V23(2u)), u the grid coordinate.
-    A boundedness sanity report for the second-commutator hypotheses, not a
+    m2(q) + u d/du (u V_a'(u)) with the row of :data:`_CLOSED_FORMS`.  A
+    boundedness sanity report for the second-commutator hypotheses, not a
     spectral tool.
     """
     require_two_cluster(cluster)
     grid = wf.grid
     if grid.particles != 1:
         raise ClusterError("second commutators are evaluated on the internal grid")
-    q = grid.momentum_mesh()[0]
-    u = grid.position_mesh()[0]
-    if cluster is ClusterId.PHOTON_FREE:
-        marr = 4.0 * q ** 2
-        fld = model.v12.double_virial_field(u)
-    elif cluster is ClusterId.ELECTRON_FREE:
-        marr = np.abs(q)
-        fld = model.v13.double_virial_field(u)
-    else:
-        marr = q ** 2 + 0.5 * np.abs(q)
-        fld = model.pair_potential().double_virial_field(u)
-    cpsi = WaveFunction(grid, _apply_momentum_array(wf, marr) + fld * wf.values)
+    potential, _, m2, _ = _CLOSED_FORMS[cluster]
+    fld = potential(model).double_virial_field(grid.position_mesh()[0])
+    cpsi = WaveFunction(grid, _in_momentum(wf.values, m2(grid.momentum_mesh()[0]))
+                        + fld * wf.values)
     return wf.inner(cpsi).real
-
-
-def _adaptive_simpson(f, a, b, tol, budget):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        budget[0] += 2
-        if budget[0] > budget[1]:
-            raise _BudgetExceeded(whole)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth > 50 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
-
-    budget[0] += 3
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
-class _BudgetExceeded(Exception):
-    def __init__(self, partial):
-        self.partial = partial
 
 
 def sqrt_lemma_eval(k: float, tol: float = 1e-8, max_evals: int = 200000) -> float:
@@ -248,28 +215,31 @@ def sqrt_lemma_eval(k: float, tol: float = 1e-8, max_evals: int = 200000) -> flo
 
     The integral (1/pi) int_0^inf s^(-1/2) k^2/(s+k^2) ds is split at s = k^2;
     the substitution s = u^2 tames the endpoint on [0, k^2], and s = k^2/t^2
-    maps the tail to [0, 1].  Both pieces are integrated adaptively to a
-    relative tolerance against |k|.
+    maps the tail to [0, 1].  QUADPACK (``scipy.integrate.quad``) integrates
+    both pieces to the absolute tolerance tol * k / 2.  ``max_evals`` caps its
+    subintervals, 21 integrand evaluations each, at max_evals // 42 per piece;
+    an error estimate above the tolerance raises :class:`QuadratureError`.
     """
     if k < 0:
         raise QuadratureError("k must be nonnegative")
     if k == 0.0:
         return 0.0
+    # lazy: importing scipy.integrate at module level adds ~20 MB to every run
+    from scipy.integrate import quad
+
+    abs_tol = 0.5 * tol * k
+    # full_output turns quad's warning into data; the error estimates are checked below
+    opts = {"epsabs": abs_tol, "epsrel": 0.0, "limit": max(1, max_evals // 42),
+            "full_output": 1}
     # s = u^2 on [0, k^2]:   integrand 2 k^2 / (u^2 + k^2) du on [0, k]
     # s = k^2/t^2 on tail:   integrand 2 k / (1 + t^2) dt on [0, 1]
-    budget = [0, max_evals]
-    abs_tol = 0.5 * tol * k
-    try:
-        head = _adaptive_simpson(lambda u: 2.0 * k * k / (u * u + k * k), 0.0, k,
-                                 abs_tol, budget)
-        tail = _adaptive_simpson(lambda t: 2.0 * k / (1.0 + t * t), 0.0, 1.0,
-                                 abs_tol, budget)
-    except _BudgetExceeded as exc:
-        achieved = abs(exc.partial / np.pi - k) / k
+    head, head_err, *_ = quad(lambda u: 2.0 * k * k / (u * u + k * k), 0.0, k, **opts)
+    tail, tail_err, *_ = quad(lambda t: 2.0 * k / (1.0 + t * t), 0.0, 1.0, **opts)
+    if max(head_err, tail_err) > abs_tol:
         raise QuadratureError(
-            f"quadrature budget exhausted before reaching tol={tol:.1e}",
-            achieved=achieved,
-        ) from exc
+            f"quadrature error estimate above tol={tol:.1e} within max_evals={max_evals}",
+            achieved=abs((head + tail) / np.pi - k) / k,
+        )
     return (head + tail) / np.pi
 
 

@@ -760,13 +760,13 @@ def check_determinism(seed):
     with tempfile.TemporaryDirectory() as tmp:
         files_a = _determinism_pass(seed, os.path.join(tmp, "a"))
         files_b = _determinism_pass(seed, os.path.join(tmp, "b"))
-        identical = True
+        flags = []
         for fa, fb in zip(files_a, files_b):
             with open(fa, "rb") as f1, open(fb, "rb") as f2:
-                if f1.read() != f2.read():
-                    identical = False
-    return (identical, {"files_compared": len(files_a)},
-            (("file", "identical"), [(os.path.basename(f), identical) for f in files_a]))
+                flags.append(f1.read() == f2.read())
+    return (all(flags), {"files_compared": len(files_a)},
+            (("file", "identical"),
+             [(os.path.basename(f), ok) for f, ok in zip(files_a, flags)]))
 
 
 ALL_CHECKS = (

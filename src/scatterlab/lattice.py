@@ -19,7 +19,7 @@ from .errors import GridError
 
 _DUMP_MAGIC = b"DSWF"
 _DUMP_VERSION = 1
-# version, particles, dims per particle, points per axis, half extent
+# version, particles, dims per particle (always 1), points per axis, half extent
 _DUMP_HEADER = struct.Struct("<IIIId")
 
 
@@ -29,7 +29,7 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid for one or two particles.
+    """Uniform periodic grid for one or two particles, one axis each.
 
     Parameters
     ----------
@@ -39,20 +39,15 @@ class GridSpec:
         Lattice points per axis; a power of two, at least 8.
     half_extent : float
         The box is ``[-half_extent, half_extent)`` along every axis.
-    dims_per_particle : int
-        Spatial dimensions per particle (1 at desk scale).
     """
 
     particles: int
     points_per_axis: int
     half_extent: float
-    dims_per_particle: int = 1
 
     def __post_init__(self):
         if self.particles not in (1, 2):
             raise GridError(f"particles must be 1 or 2, got {self.particles}")
-        if self.dims_per_particle != 1:
-            raise GridError("only 1 spatial dimension per particle is supported")
         if self.points_per_axis < 8 or not _is_power_of_two(self.points_per_axis):
             raise GridError(
                 f"points_per_axis must be a power of two >= 8, got {self.points_per_axis}"
@@ -62,7 +57,7 @@ class GridSpec:
 
     @property
     def axes(self) -> int:
-        return self.particles * self.dims_per_particle
+        return self.particles
 
     @property
     def spacing(self) -> float:
@@ -221,7 +216,7 @@ def write_wavefunction(path, wf: WaveFunction) -> None:
     All fields little-endian; amplitudes row-major in position order.
     """
     header = _DUMP_MAGIC + _DUMP_HEADER.pack(
-        _DUMP_VERSION, wf.grid.particles, wf.grid.dims_per_particle,
+        _DUMP_VERSION, wf.grid.particles, 1,
         wf.grid.points_per_axis, wf.grid.half_extent,
     )
     with open(path, "wb") as fh:
@@ -247,8 +242,9 @@ def read_wavefunction(path) -> WaveFunction:
     version, particles, dims, n, half_extent = _DUMP_HEADER.unpack_from(data, len(_DUMP_MAGIC))
     if version != _DUMP_VERSION:
         raise GridError(f"unsupported dump version {version}")
-    grid = GridSpec(particles=particles, points_per_axis=n,
-                    half_extent=half_extent, dims_per_particle=dims)
+    if dims != 1:
+        raise GridError("only 1 spatial dimension per particle is supported")
+    grid = GridSpec(particles=particles, points_per_axis=n, half_extent=half_extent)
     body, expected = len(data) - start, 16 * grid.size
     if body < expected:
         raise GridError(f"wavefunction dump truncated: {body} of {expected} amplitude bytes")

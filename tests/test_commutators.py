@@ -15,6 +15,7 @@ from scatterlab.commutators import (
 )
 from scatterlab.errors import (
     BoundaryConcentrationError,
+    ClusterError,
     HypothesisError,
     QuadratureError,
     SpectralWindowError,
@@ -128,6 +129,13 @@ def test_fibered_pair_singular_mode_average():
     assert np.max(np.abs(out.values - expected)) <= 1e-10
 
 
+def test_unknown_formula_kind_is_rejected():
+    psi = gaussian_packet(make_grid(1, 64, 8.0), 0.0, 0.0, 1.0)
+    for which in ("fibred:(y)(x0)", "subsystem", "subsystem:(xy0)", "free:(y)(x0)"):
+        with pytest.raises(ClusterError):
+            analytic_commutator_apply(psi, which, default_model(), s=0.3)
+
+
 def test_second_commutator_free_positive():
     grid = make_grid(1, 256, 32.0)
     rng = np.random.default_rng(6)
@@ -136,13 +144,16 @@ def test_second_commutator_free_positive():
     assert val >= 0.0
 
 
-def test_second_commutator_nested_path():
-    grid = make_grid(1, 256, 32.0)
+@pytest.mark.parametrize("a", TWO_CLUSTERS)
+def test_second_commutator_nested_path(a):
+    # V23 acts on u as V23(2u), which 256 points under-resolve (gap 3e-6);
+    # 512 points sample it as criterion 6 does
+    grid = make_grid(1, 512 if a is ClusterId.PAIR_FREE else 256, 32.0)
     rng = np.random.default_rng(7)
     model = default_model()
     psi = admissible_random_state(grid, rng, (2.0,))
-    direct = second_commutator_form(psi, ClusterId.PHOTON_FREE, model)
-    cpsi = analytic_commutator_apply(psi, "subsystem:(y)(x0)", model)
+    direct = second_commutator_form(psi, a, model)
+    cpsi = analytic_commutator_apply(psi, f"subsystem:{a.value}", model)
     nested = -2.0 * cpsi.inner(apply_dilation(psi)).imag
     scale = max(1.0, abs(direct))
     assert abs(direct - nested) <= 1e-6 * scale

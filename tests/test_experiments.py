@@ -77,6 +77,24 @@ def test_determinism_check(tmp_path):
         "file,identical", "continuum-edge.csv,1", "thresholds.csv,1", "dispersion.csv,1"]
 
 
+def test_determinism_check_flags_each_file(tmp_path, monkeypatch):
+    from scatterlab import experiments
+
+    real = experiments._determinism_pass
+
+    def second_pass_dispersion_differs(seed, out_dir):
+        files = real(seed, out_dir)
+        if out_dir.endswith("b"):
+            with open(files[-1], "a") as fh:
+                fh.write("0.0,0.0,0.0,0.0,0\n")
+        return files
+
+    monkeypatch.setattr(experiments, "_determinism_pass", second_pass_dispersion_differs)
+    assert not check_determinism(seed=3, out_dir=str(tmp_path)).passed
+    assert (tmp_path / "determinism.csv").read_text().splitlines() == [
+        "file,identical", "continuum-edge.csv,1", "thresholds.csv,1", "dispersion.csv,0"]
+
+
 def test_each_check_reports_its_name_and_writes_one_csv_under_it(tmp_path):
     for check in FAST_CHECKS:
         out = tmp_path / check.__name__

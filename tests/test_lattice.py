@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,14 @@ def test_binary_dump_round_trip(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == b"DSWF"
     assert len(raw) == 4 + 24 + 16 * g.size
+
+
+def test_dump_with_more_than_one_dim_per_particle_is_rejected(tmp_path):
+    # header: magic, version 1, one particle, dims 2, N = 8, L = 4.0
+    path = tmp_path / "state.dswf"
+    path.write_bytes(b"DSWF" + struct.pack("<IIIId", 1, 1, 2, 8, 4.0) + bytes(16 * 8))
+    with pytest.raises(GridError, match="only 1 spatial dimension per particle"):
+        read_wavefunction(path)
 
 
 def test_boundary_mass():
