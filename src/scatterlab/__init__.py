@@ -52,7 +52,6 @@ from .operators import (
     PotentialSpec,
     absolute_symbol,
     apply_hamiltonian,
-    apply_multiplier,
     check_boundary_decay,
     constant_symbol,
     free_symbol,

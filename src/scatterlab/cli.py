@@ -73,6 +73,11 @@ _SCHEMA = {
     "output": {"directory"},
 }
 
+# the [grid] particles each experiment accepts
+_PARTICLES = {"spectrum": (1,), "dispersion": (1,), "thresholds": (1,),
+              "mourre": (2,), "partition": (2,), "min-velocity": (2,), "channels": (2,),
+              "evolve": (1, 2), "local-decay": (1, 2)}
+
 
 def _parse_ini(path: str) -> configparser.ConfigParser:
     """Read a UTF-8 INI file; values are taken literally, with no ``%`` interpolation."""
@@ -152,9 +157,18 @@ def parse_grid(cp):
         raise ConfigError(f"[grid] {exc}") from exc
 
 
-def _model_on_grid(cp) -> tuple[ThreeBodyModel, GridSpec]:
+def _grid_for(cp, experiment: str) -> GridSpec:
+    """The [grid] section, with a particle count that ``experiment`` accepts."""
+    grid = parse_grid(cp)
+    if grid.particles not in _PARTICLES[experiment]:
+        raise ConfigError(f"[grid] particles = {grid.particles}: {experiment} needs "
+                          + " or ".join(map(str, _PARTICLES[experiment])))
+    return grid
+
+
+def _model_on_grid(cp, experiment: str) -> tuple[ThreeBodyModel, GridSpec]:
     """The [model] and [grid] sections, with every potential negligible at the box edge."""
-    model, grid = parse_model(cp), parse_grid(cp)
+    model, grid = parse_model(cp), _grid_for(cp, experiment)
     try:
         model.validate_for(grid)
     except PotentialError as exc:
@@ -176,6 +190,23 @@ def parse_schedule(cp) -> tuple[float, float]:
     _require_section(cp, "schedule")
     return (_get(cp, "schedule", "dt", float, required=True),
             _get(cp, "schedule", "boundary_limit", float, default=DEFAULT_BOUNDARY_LIMIT))
+
+
+def _packet(cp, grid: GridSpec, width: float, momenta: str | None = None) -> WaveFunction:
+    """The [packet] Gaussian on ``grid``; ``width`` and ``momenta`` are the keys' defaults."""
+    _require_section(cp, "packet")
+    momenta = _float_list(_get(cp, "packet", "axis_momenta", str, default=momenta,
+                               required=momenta is None))
+    try:
+        return gaussian_packet(grid, _get(cp, "packet", "center", float, default=0.0), momenta,
+                               _get(cp, "packet", "width", float, default=width))
+    except GridError as exc:
+        raise ConfigError(f"[packet] {exc}") from exc
+
+
+def _evolution_hamiltonian(model: ThreeBodyModel, grid: GridSpec):
+    """The full H on a two-particle grid, H_(y)(x0)'s subsystem on a one-particle grid."""
+    return model.full() if grid.particles == 2 else model.subsystem(ClusterId.PHOTON_FREE)
 
 
 def parse_window(cp):
@@ -208,10 +239,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         return path
 
     if experiment == "spectrum":
-        model, grid = _model_on_grid(cp)
-        if grid.particles != 1:
-            raise ConfigError("[grid] particles must be 1: the spectrum "
-                              "experiment solves the one-particle subsystems")
+        model, grid = _model_on_grid(cp, experiment)
         count = _get(cp, "window", "count", int, default=6)
         for a in TWO_CLUSTERS:
             h = model.subsystem(a)
@@ -224,17 +252,17 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
             write_wavefunction(out(f"ground-{tag_a}", "dswf"), res.eigenvectors[0])
 
     elif experiment == "thresholds":
-        model, grid = _model_on_grid(cp)
+        model, grid = _model_on_grid(cp, experiment)
         sio.write_csv(out(""), *xp.threshold_csv(threshold_table(model, grid)))
 
     elif experiment == "dispersion":
-        model, grid = _model_on_grid(cp)
+        model, grid = _model_on_grid(cp, experiment)
         _require_section(cp, "dispersion")
         svals = _float_list(_get(cp, "dispersion", "s_values", str, required=True))
         sio.write_csv(out(""), *xp.dispersion_csv(dispersion_scan(model, grid, svals)))
 
     elif experiment == "mourre":
-        model, grid = _model_on_grid(cp)
+        model, grid = _model_on_grid(cp, experiment)
         window = parse_window(cp)
         energy = _get(cp, "window", "energy", float, required=True)
         samples = _get(cp, "window", "samples", int, default=20)
@@ -259,7 +287,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
     elif experiment == "partition":
         width = _get(cp, "partition", "width", float, default=DEFAULT_SMOOTHING_WIDTH)
         # no boundary-decay check: the partition samples the model only along rays
-        grid = parse_grid(cp)
+        grid = _grid_for(cp, experiment)
         pset = build_partition(width)
         model = parse_model(cp) if cp.has_section("model") else None
         report = verify_partition(pset, grid, model=model)
@@ -272,17 +300,11 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
             status = "violations: " + "; ".join(report.violations)
 
     elif experiment == "evolve":
-        model, grid = _model_on_grid(cp)
+        model, grid = _model_on_grid(cp, experiment)
         dt, limit = parse_schedule(cp)
         horizon = _get(cp, "schedule", "horizon", float, required=True)
-        _require_section(cp, "packet")
-        momenta = _float_list(_get(cp, "packet", "axis_momenta", str,
-                                   default=_get(cp, "packet", "momentum", str, default="0")))
-        center = _get(cp, "packet", "center", float, default=0.0)
-        width = _get(cp, "packet", "width", float, default=2.0)
-        psi0 = gaussian_packet(grid, center, momenta if len(momenta) > 1 else momenta[0],
-                               width)
-        ham = model.full() if grid.particles == 2 else model.subsystem(ClusterId.PHOTON_FREE)
+        psi0 = _packet(cp, grid, 2.0, _get(cp, "packet", "momentum", str, default="0"))
+        ham = _evolution_hamiltonian(model, grid)
         final, traces = evolve(psi0, PropagatorSpec(ham, dt=dt), horizon,
                                boundary_limit=limit, observables=("norm", "energy"))
         for name, series in traces.items():
@@ -294,21 +316,15 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
                            "half_extent": grid.half_extent})
 
     elif experiment in ("local-decay", "min-velocity", "channels"):
-        model, grid = _model_on_grid(cp)
+        model, grid = _model_on_grid(cp, experiment)
         window = parse_window(cp)
         dt, limit = parse_schedule(cp)
-        _require_section(cp, "packet")
-        momenta = _float_list(_get(cp, "packet", "axis_momenta", str, required=True))
-        width = _get(cp, "packet", "width", float, default=6.0)
-        center = _get(cp, "packet", "center", float, default=0.0)
-        psi0 = gaussian_packet(grid, center, momenta if len(momenta) > 1 else momenta[0],
-                               width)
+        psi0 = _packet(cp, grid, 6.0)
         table = threshold_table(model, make_grid(*xp.THRESHOLD_GRID))
         if experiment == "local-decay":
             horizon = _get(cp, "schedule", "horizon", float, required=True)
             mu = _get(cp, "window", "mu", float, default=0.6)
-            series = local_decay_trace(psi0, model.full() if grid.particles == 2
-                                       else model.subsystem(ClusterId.PHOTON_FREE),
+            series = local_decay_trace(psi0, _evolution_hamiltonian(model, grid),
                                        window, mu=mu, T=horizon, dt=dt, table=table,
                                        filter_transition=0.25, boundary_limit=limit)
         elif experiment == "min-velocity":

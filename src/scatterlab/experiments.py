@@ -576,6 +576,17 @@ def check_propagator(seed):
     return ok, values, (("metric", "value"), rows)
 
 
+@functools.cache
+def _photon_escape_setup():
+    """Criteria 11 and 13's set-up, once per process: the dynamics model, its thresholds,
+    the (y)(x0) ground state along x and the localized low eigenvectors of H on 512^2."""
+    model = dynamics_model()
+    table = threshold_table(model, make_grid(*THRESHOLD_GRID))
+    xground = bound_ground_1d(model, ClusterId.PHOTON_FREE, 512, 128.0)[2]
+    localized = tuple(localized_eigenvectors(model.full(), make_grid(2, 512, 128.0), 6))
+    return model, table, xground, localized
+
+
 # ---------------------------------------------------------------------------
 # check 11: local decay (weighted-evolution integrability)
 # ---------------------------------------------------------------------------
@@ -599,15 +610,13 @@ def check_local_decay(seed):
 
     # interacting: bound massive particle, escaping massless particle; the
     # filter kernel spreads like 1/(transition width), so the box is large
-    model = dynamics_model()
-    table = threshold_table(model, make_grid(*THRESHOLD_GRID))
+    model, table, xground, localized = _photon_escape_setup()
     grid_i = make_grid(2, 512, 128.0)
-    g1, lam0, xground = bound_ground_1d(model, ClusterId.PHOTON_FREE, 512, 128.0)
     # the packet starts slightly off the center and escapes at unit speed; the
     # trailing filter coherence clears the weight region well before T/2
     ypacket = gaussian_packet(make_grid(1, 512, 128.0), 4.0, 0.5, 5.0)
     psi0 = product_state(grid_i, xground.values, ypacket.values)
-    known = [lam for lam, _ in localized_eigenvectors(model.full(), grid_i, 6)]
+    known = [lam for lam, _ in localized]
     series = local_decay_trace(psi0, model.full(), (-0.7, -0.4), mu=0.6, T=40.0,
                                dt=0.05, table=table, known_eigenvalues=known,
                                filter_transition=0.25)
@@ -682,21 +691,18 @@ def check_channels(seed):
     ok = True
     rows = []
 
-    model = dynamics_model()
-    table = threshold_table(model, make_grid(*THRESHOLD_GRID))
+    model, table, xground, localized = _photon_escape_setup()
     grid = make_grid(2, 512, 128.0)
     cutoffs = CutoffSpec(delta=0.12, eps=0.02)
     window = (-0.65, -0.45)
     schedule = (4.0, 8.0, 16.0, 32.0)
 
-    g1, lam0, xground = bound_ground_1d(model, ClusterId.PHOTON_FREE, 512, 128.0)
     # launching the packet slightly outside the wells keeps the amplitude
     # trapped near the center small, which is what the overlap of the three
     # channel cutoffs (they are not a partition of unity) is sensitive to
     ypacket = gaussian_packet(make_grid(1, 512, 128.0), 6.0, 0.5, 6.0)
     psi0 = product_state(grid, xground.values, ypacket.values)
-    deflate = [vec for lam, vec in
-               localized_eigenvectors(model.full(), grid, 6, window=window)]
+    deflate = [vec for lam, vec in localized if window[0] <= lam <= window[1]]
     # off-channel slivers dispersing under their own free dynamics wrap a
     # little; a 1e-4 guard bounds that junk at 1% amplitude, far below the
     # 0.1 defect tolerance

@@ -175,23 +175,20 @@ class WaveFunction:
         return float(np.sum(np.abs(self.values[self.grid.shell_mask(fraction)]) ** 2) / total)
 
 
-def fourier(wf: WaveFunction) -> np.ndarray:
-    """Unitary FFT of the amplitudes (norm="ortho")."""
-    return np.fft.fftn(wf.values, norm="ortho")
-
-
-def inverse_fourier(grid: GridSpec, values_hat: np.ndarray) -> WaveFunction:
-    return WaveFunction(grid, np.fft.ifftn(values_hat, norm="ortho"))
-
-
 def gaussian_packet(grid: GridSpec, centers, momenta, widths) -> WaveFunction:
-    """Normalized Gaussian packet ``exp(-(x-c)^2/(2 w^2) + i p x)`` per axis."""
-    centers = np.broadcast_to(np.atleast_1d(np.asarray(centers, dtype=float)), (grid.axes,))
-    momenta = np.broadcast_to(np.atleast_1d(np.asarray(momenta, dtype=float)), (grid.axes,))
-    widths = np.broadcast_to(np.atleast_1d(np.asarray(widths, dtype=float)), (grid.axes,))
+    """Normalized Gaussian packet ``exp(-(x-c)^2/(2 w^2) + i p x)`` per axis, each argument
+    one finite value for all axes or one per axis, every width positive."""
+    per_axis = {}
+    for name, arg in (("centers", centers), ("momenta", momenta), ("widths", widths)):
+        arr = np.atleast_1d(np.asarray(arg, dtype=float))
+        if arr.shape not in ((1,), (grid.axes,)) or not np.all(np.isfinite(arr)):
+            raise GridError(f"packet {name} must be 1 or {grid.axes} finite values, got {arr}")
+        per_axis[name] = np.broadcast_to(arr, (grid.axes,))
+    if np.any(per_axis["widths"] <= 0):
+        raise GridError(f"packet widths must be positive, got {per_axis['widths']}")
     mesh = grid.position_mesh()
     phase = np.zeros(grid.shape, dtype=np.complex128)
-    for X, c, p, w in zip(mesh, centers, momenta, widths):
+    for X, c, p, w in zip(mesh, *per_axis.values()):
         phase = phase - (X - c) ** 2 / (2.0 * w ** 2) + 1j * p * X
     return WaveFunction(grid, np.exp(phase)).normalized()
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -113,31 +112,26 @@ class PotentialSpec:
     """Smooth decaying potential on one coordinate.
 
     Families: "zero"; "poschl_teller" is ``-V0 sech^2((u-c)/w)``;
-    "gaussian_well" is ``-V0 exp(-(u-c)^2/w^2)``; "tabulated" wraps a callable
-    (with an optional analytic derivative; otherwise a centered difference with
-    a small step is used).
+    "gaussian_well" is ``-V0 exp(-(u-c)^2/w^2)``.  Both wells have closed-form
+    first and second derivatives.
     """
 
     family: str
     strength: float = 0.0
     width: float = 1.0
     center: float = 0.0
-    value_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    derivative_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.family not in ("zero", "poschl_teller", "gaussian_well", "tabulated"):
+        if self.family not in ("zero", "poschl_teller", "gaussian_well"):
             raise PotentialError(f"unknown potential family {self.family!r}")
         if self.family != "zero" and not self.width > 0:
             raise PotentialError("potential width must be positive")
         if self.strength < 0:
             raise PotentialError("strength is the well depth V0 and must be >= 0")
-        if self.family == "tabulated" and self.value_fn is None:
-            raise PotentialError("tabulated potential requires value_fn")
 
     @property
     def is_zero(self) -> bool:
-        return self.family == "zero" or self.strength == 0.0 and self.family != "tabulated"
+        return self.family == "zero" or self.strength == 0.0
 
     def value(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -146,24 +140,17 @@ class PotentialSpec:
             return np.zeros_like(u)
         if self.family == "poschl_teller":
             return -self.strength / np.cosh(z) ** 2
-        if self.family == "gaussian_well":
-            return -self.strength * np.exp(-(z ** 2))
-        return np.asarray(self.value_fn(u), dtype=float)
+        return -self.strength * np.exp(-(z ** 2))
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
-        """dV/du in closed form for the built-in families."""
+        """dV/du in closed form."""
         u = np.asarray(u, dtype=float)
         z = (u - self.center) / self.width
         if self.is_zero:
             return np.zeros_like(u)
         if self.family == "poschl_teller":
             return (2.0 * self.strength / self.width) * np.tanh(z) / np.cosh(z) ** 2
-        if self.family == "gaussian_well":
-            return (2.0 * self.strength / self.width) * z * np.exp(-(z ** 2))
-        if self.derivative_fn is not None:
-            return np.asarray(self.derivative_fn(u), dtype=float)
-        h = 1e-6 * self.width
-        return (self.value(u + h) - self.value(u - h)) / (2.0 * h)
+        return (2.0 * self.strength / self.width) * z * np.exp(-(z ** 2))
 
     def second_derivative(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -173,22 +160,13 @@ class PotentialSpec:
         if self.family == "poschl_teller":
             s2 = 1.0 / np.cosh(z) ** 2
             return (2.0 * self.strength / self.width ** 2) * s2 * (s2 - 2.0 * np.tanh(z) ** 2)
-        if self.family == "gaussian_well":
-            return (2.0 * self.strength / self.width ** 2) * (1.0 - 2.0 * z ** 2) * np.exp(-(z ** 2))
-        h = 1e-4 * self.width
-        return (self.value(u + h) - 2.0 * self.value(u) + self.value(u - h)) / h ** 2
+        return (2.0 * self.strength / self.width ** 2) * (1.0 - 2.0 * z ** 2) * np.exp(-(z ** 2))
 
     def dilated(self, factor: float) -> "PotentialSpec":
-        """The potential ``u -> V(factor * u)``, in the same family where one exists."""
+        """The potential ``u -> V(factor * u)``, in the same family."""
         if self.is_zero:
             return self
-        if self.family != "tabulated":
-            return replace(self, width=self.width / factor, center=self.center / factor)
-        return replace(
-            self, width=self.width / factor, center=self.center / factor,
-            value_fn=lambda u: self.value(factor * np.asarray(u)),
-            derivative_fn=lambda u: factor * self.derivative(factor * np.asarray(u)),
-        )
+        return replace(self, width=self.width / factor, center=self.center / factor)
 
     def virial_field(self, u: np.ndarray) -> np.ndarray:
         """u dV/du, the potential part of the first commutator."""
@@ -364,11 +342,6 @@ class _Stepper:
         out *= self.kinetic
         ifft(out, out=out)
         return np.multiply(self.half_v, out, out=out)
-
-
-def apply_multiplier(wf: WaveFunction, symbol: DispersionSymbol) -> WaveFunction:
-    """Apply ``m(P)`` spectrally; exact on the discrete lattice."""
-    return apply_hamiltonian(wf, HamiltonianSpec(symbol))
 
 
 def apply_hamiltonian(wf: WaveFunction, ham: HamiltonianSpec | GridOperator) -> WaveFunction:

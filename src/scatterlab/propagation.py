@@ -216,22 +216,18 @@ def shrinking_region_field(grid: GridSpec, t: float, delta: float, eps: float,
     return smoothed_step_below(u, delta, smoothing_fraction * delta)
 
 
-def channel_cutoff(a: ClusterId, t: float, cutoffs: CutoffSpec, grid: GridSpec,
-                   convention: str = "internal") -> np.ndarray:
+def channel_cutoff(a: ClusterId, t: float, cutoffs: CutoffSpec, grid: GridSpec) -> np.ndarray:
     """Channel cutoff F((x^a)^2 / t^(2-eps) < delta') as a field on the grid.
 
-    The cut acts on the internal coordinate x^a of the decomposition, read
-    from the cluster chart; ``convention="external"`` switches to the
-    external coordinate x_a for comparison.
+    The cut acts on the internal coordinate x^a of the cluster, read from
+    the cluster chart, and does not depend on the external coordinate x_a.
     """
     require_two_cluster(a)
     if grid.particles != 2:
         raise GridError("channel cutoffs live on the two-particle grid")
     if t < 1.0:
         raise HypothesisError("channel cutoffs are defined for t >= 1")
-    if convention not in ("internal", "external"):
-        raise GridError(f"unknown cutoff convention {convention!r}")
-    coord = coordinate_field(grid, CHART[a][convention == "external"][0])
+    coord = coordinate_field(grid, CHART[a][0][0])
     u = coord ** 2 / t ** (2.0 - cutoffs.eps)
     dp = cutoffs.delta_prime
     return smoothed_step_below(u, dp, cutoffs.smoothing_fraction * dp)

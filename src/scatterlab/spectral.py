@@ -228,9 +228,8 @@ def threshold_table(model: ThreeBodyModel, grid: GridSpec) -> ThresholdTable:
 
 @dataclass(frozen=True)
 class DispersionCurve:
-    """Ground-state energy of the pair cluster along the external momentum."""
+    """Ground-state energy of the pair cluster (xy)(0) along the external momentum."""
 
-    cluster: ClusterId
     s_values: np.ndarray
     lambdas: np.ndarray
     residuals: np.ndarray
@@ -283,7 +282,7 @@ def dispersion_scan(model: ThreeBodyModel, grid: GridSpec, s_values) -> Dispersi
     coef = quadratic_fit(s_values[keep], lams[keep])
     dev = float(np.max(np.abs(lams[keep] - s_values[keep] ** 2 - lam0)))
     return DispersionCurve(
-        cluster=a, s_values=s_values, lambdas=lams, residuals=resids, flagged=flagged,
+        s_values=s_values, lambdas=lams, residuals=resids, flagged=flagged,
         lambda0=lam0, quad_coefficient=float(coef[2]), linear_coefficient=float(coef[1]),
         max_deviation=dev,
     )
@@ -293,14 +292,6 @@ def _smooth_window(E, e_lo, e_hi, width):
     from scipy.special import erf
 
     return 0.25 * (1.0 + erf((E - e_lo) / width)) * (1.0 + erf((e_hi - E) / width))
-
-
-@dataclass(frozen=True)
-class FilterInfo:
-    degree: int
-    bounds: tuple[float, float]
-    transition_width: float
-    idempotence_defect: float | None = None
 
 
 def chebyshev_window_coefficients(e_lo: float, e_hi: float, width: float,
@@ -351,9 +342,9 @@ def _clenshaw_apply(op: GridOperator, values: np.ndarray, coef: np.ndarray,
 
 
 def spectral_filter(wf: WaveFunction, ham: HamiltonianSpec, window: tuple[float, float],
-                    return_info: bool = False,
-                    target_ripple: float = 1e-6, transition_fraction: float = 0.1):
-    """Polynomial smoothed spectral window applied through repeated H applies.
+                    target_ripple: float = 1e-6,
+                    transition_fraction: float = 0.1) -> WaveFunction:
+    """The filtered state: a smoothed spectral window, a polynomial in H applied by Clenshaw.
 
     The target is an erf-smoothed indicator of ``window`` with transition
     width ``transition_fraction`` of the window width, Chebyshev-expanded over
@@ -382,15 +373,7 @@ def spectral_filter(wf: WaveFunction, ham: HamiltonianSpec, window: tuple[float,
     degree = int(np.ceil(span / (np.pi * width) * np.sqrt(2.0 * np.log(1.0 / target_ripple))))
     degree = max(degree, 32)
     coef = chebyshev_window_coefficients(e_lo, e_hi, width, lo, hi, degree)
-    out_vals = _clenshaw_apply(op, wf.values, coef, lo, hi)
-    out = WaveFunction(wf.grid, out_vals)
-    if not return_info:
-        return out
-    twice = _clenshaw_apply(op, out_vals, coef, lo, hi)
-    defect = WaveFunction(wf.grid, twice - out_vals).norm()
-    info = FilterInfo(degree=degree, bounds=(lo, hi), transition_width=width,
-                      idempotence_defect=defect)
-    return out, info
+    return WaveFunction(wf.grid, _clenshaw_apply(op, wf.values, coef, lo, hi))
 
 
 def deflate_against(wf: WaveFunction, vectors) -> WaveFunction:

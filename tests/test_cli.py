@@ -136,6 +136,32 @@ def test_evolve_config_honours_its_boundary_limit(tmp_path, capsys):
     assert "boundary mass 1.006e-06 exceeded 1.0e-06" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, particles", [
+    ("spectrum", 2), ("dispersion", 2), ("thresholds", 2), ("mourre", 1), ("partition", 1),
+    ("min-velocity", 1), ("channels", 1), ("evolve", 3), ("local-decay", 3),
+], ids=str)
+def test_wrong_particle_count_is_a_config_error(tmp_path, capsys, experiment, particles):
+    cfg = _write(tmp_path, f"[experiment]\nname = {experiment}\n\n[model]\nv12_family = zero\n\n"
+                           f"[grid]\nparticles = {particles}\npoints = 64\nhalf_extent = 8.0\n")
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [grid] particles" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, line, bad", [
+    ("evolve", "width = 2.0", "width = 0"),
+    ("evolve", "width = 2.0", "width = -2"),
+    ("evolve", "momentum = 0.8", "axis_momenta = 0.0 0.5"),
+    ("channels", "width = 5.0", "width = nan"),
+], ids=["zero-width", "negative-width", "two-momenta-on-one-axis", "nan-width"])
+def test_bad_packet_is_a_config_error(tmp_path, capsys, name, line, bad):
+    text = (SHIPPED / f"{name}.ini").read_text()
+    assert line in text
+    cfg = _write(tmp_path, text.replace(line, bad))
+    assert main([name, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: [packet]" in capsys.readouterr().err
+
+
 def test_duplicate_section_rejected(tmp_path):
     cfg = _write(tmp_path, THRESHOLDS_INI + "\n[grid]\npoints = 64\n")
     rc = main(["thresholds", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -6,9 +6,7 @@ import pytest
 from scatterlab.errors import GridError
 from scatterlab.lattice import (
     WaveFunction,
-    fourier,
     gaussian_packet,
-    inverse_fourier,
     make_grid,
     random_state,
     read_wavefunction,
@@ -43,14 +41,6 @@ def test_grid_rejects_bad_extent():
         make_grid(1, 8, 0.0)
     with pytest.raises(GridError):
         make_grid(1, 8, -2.0)
-
-
-def test_fourier_round_trip():
-    g = make_grid(2, 32, 8.0)
-    rng = np.random.default_rng(1)
-    psi = random_state(g, rng)
-    back = inverse_fourier(g, fourier(psi))
-    assert (back - psi).norm() <= 1e-12 * psi.norm()
 
 
 def test_norm_uses_grid_measure():
@@ -108,3 +98,21 @@ def test_boundary_mass():
     assert tight.boundary_mass(0.8) < 1e-12
     shifted = gaussian_packet(g, 14.0, 0.0, 1.0)
     assert shifted.boundary_mass(0.8) > 0.5
+
+
+def test_packet_takes_one_value_or_one_per_axis():
+    g2 = make_grid(2, 32, 8.0)
+    both = gaussian_packet(g2, 1.0, (0.5, 0.5), 2.0)
+    assert np.array_equal(both.values, gaussian_packet(g2, (1.0, 1.0), 0.5, (2.0, 2.0)).values)
+    with pytest.raises(GridError, match="momenta"):
+        gaussian_packet(make_grid(1, 32, 8.0), 0.0, (0.0, 0.5), 2.0)
+    with pytest.raises(GridError, match="centers"):
+        gaussian_packet(g2, (0.0, 1.0, 2.0), 0.0, 2.0)
+
+
+@pytest.mark.parametrize("center, momentum, width", [
+    (0.0, 0.5, 0.0), (0.0, 0.5, -2.0), (np.nan, 0.5, 2.0), (0.0, np.inf, 2.0),
+], ids=["zero-width", "negative-width", "nan-center", "infinite-momentum"])
+def test_packet_rejects_degenerate_values(center, momentum, width):
+    with pytest.raises(GridError):
+        gaussian_packet(make_grid(1, 32, 8.0), center, momentum, width)

@@ -5,10 +5,8 @@ from scatterlab.errors import GridError, PotentialError
 from scatterlab.lattice import WaveFunction, make_grid, random_state
 from scatterlab.operators import (
     HamiltonianSpec,
-    PotentialSpec,
     absolute_symbol,
     apply_hamiltonian,
-    apply_multiplier,
     check_boundary_decay,
     constant_symbol,
     free_symbol,
@@ -35,20 +33,20 @@ def _mode(grid, index):
 
 def test_identity_symbol(grid1):
     psi = random_state(grid1, np.random.default_rng(0))
-    out = apply_multiplier(psi, constant_symbol(1.0))
+    out = apply_hamiltonian(psi, HamiltonianSpec(constant_symbol(1.0)))
     assert (out - psi).norm() <= 1e-12
 
 
 def test_mode_is_eigenvector_of_multiplier(grid1):
     psi, k = _mode(grid1, 5)
-    out = apply_multiplier(psi, absolute_symbol(1.0))
+    out = apply_hamiltonian(psi, HamiltonianSpec(absolute_symbol(1.0)))
     assert (out - psi.scaled(abs(k))).norm() <= 1e-12 * psi.norm()
 
 
 def test_unimodular_symbol_preserves_norm(grid1):
     # constant symbol of modulus one: trivial but pins the Parseval bookkeeping
     psi = random_state(grid1, np.random.default_rng(1))
-    out = apply_multiplier(psi, constant_symbol(-1.0))
+    out = apply_hamiltonian(psi, HamiltonianSpec(constant_symbol(-1.0)))
     assert out.norm() == pytest.approx(psi.norm(), abs=1e-12)
 
 
@@ -58,8 +56,8 @@ def test_multiplier_self_adjoint(grid1):
     for _ in range(5):
         phi = random_state(grid1, rng)
         psi = random_state(grid1, rng)
-        a = phi.inner(apply_multiplier(psi, sym))
-        b = psi.inner(apply_multiplier(phi, sym))
+        a = phi.inner(apply_hamiltonian(psi, HamiltonianSpec(sym)))
+        b = psi.inner(apply_hamiltonian(phi, HamiltonianSpec(sym)))
         assert a == pytest.approx(np.conj(b), abs=1e-10)
 
 
@@ -67,7 +65,7 @@ def test_zero_potential_reduces_to_multiplier(grid1):
     psi = random_state(grid1, np.random.default_rng(3))
     h = HamiltonianSpec(quadratic_symbol(1.0), ((zero_potential(), "internal"),))
     out = apply_hamiltonian(psi, h)
-    ref = apply_multiplier(psi, quadratic_symbol(1.0))
+    ref = apply_hamiltonian(psi, HamiltonianSpec(quadratic_symbol(1.0)))
     assert (out - ref).norm() == 0.0
 
 
@@ -108,8 +106,7 @@ def test_chart_consistency_pair_momentum():
     kx, ky = k[4], k[7]
     psi = WaveFunction(grid, np.exp(1j * (kx * X + ky * Y)))
     K0, K1 = grid.momentum_mesh()
-    from scatterlab.lattice import fourier, inverse_fourier
-    pa_psi = inverse_fourier(grid, (K0 + K1) * fourier(psi))
+    pa_psi = WaveFunction(grid, np.fft.ifftn((K0 + K1) * np.fft.fftn(psi.values)))
     expected = psi.scaled(kx + ky)
     assert (pa_psi - expected).norm() <= 1e-10 * psi.norm()
 
@@ -130,7 +127,7 @@ def test_coordinate_tag_validation():
 def test_symbol_dimension_mismatch(grid1):
     psi = random_state(grid1, np.random.default_rng(7))
     with pytest.raises(GridError):
-        apply_multiplier(psi, absolute_symbol(1.0, axis=1))
+        apply_hamiltonian(psi, HamiltonianSpec(absolute_symbol(1.0, axis=1)))
 
 
 def test_potential_closed_form_derivatives():
@@ -174,8 +171,6 @@ def test_minimal_image_potential_field():
 @pytest.mark.parametrize("pot", [
     poschl_teller(2.0, 1.0, 0.3),
     gaussian_well(1.5, 0.7, -0.2),
-    PotentialSpec("tabulated", 1.0, value_fn=lambda u: -np.exp(-u ** 2),
-                  derivative_fn=lambda u: 2.0 * u * np.exp(-u ** 2)),
     zero_potential(),
 ])
 def test_dilated_potential_evaluates_at_scaled_argument(pot):
@@ -185,17 +180,3 @@ def test_dilated_potential_evaluates_at_scaled_argument(pot):
     assert np.allclose(d.derivative(u), 2.0 * pot.derivative(2.0 * u), atol=1e-12)
     # u d/du is dilation invariant, so the virial field only moves its argument
     assert np.allclose(d.virial_field(u), pot.virial_field(2.0 * u), atol=1e-12)
-
-
-def test_tabulated_potentials_compare_by_callable():
-    def well(u):
-        return -np.exp(-u ** 2)
-
-    def deeper(u):
-        return -2.0 * np.exp(-u ** 2)
-
-    a = PotentialSpec("tabulated", 1.0, value_fn=well)
-    b = PotentialSpec("tabulated", 1.0, value_fn=deeper)
-    assert a != b
-    assert len({a, b}) == 2
-    assert a == PotentialSpec("tabulated", 1.0, value_fn=well)

@@ -147,14 +147,13 @@ def test_channel_cutoff_overlap_shrinks():
     assert np.max((fa * fb)[far]) < 1e-3
 
 
-def test_channel_cutoff_conventions_differ():
+def test_photon_free_cutoff_depends_on_x_alone():
     grid = make_grid(2, 64, 16.0)
     cut = CutoffSpec(delta=0.3, eps=0.1)
-    internal = channel_cutoff(ClusterId.PHOTON_FREE, 2.0, cut, grid, "internal")
-    external = channel_cutoff(ClusterId.PHOTON_FREE, 2.0, cut, grid, "external")
-    assert not np.allclose(internal, external)
-    # internal cuts on x, external on y: transposed geometry
-    assert np.allclose(internal, external.T)
+    field = channel_cutoff(ClusterId.PHOTON_FREE, 2.0, cut, grid)
+    # (y)(x0) cuts on its internal coordinate x (axis 0), never on the external y
+    assert np.array_equal(field, np.broadcast_to(field[:, :1], field.shape))
+    assert field.max() - field.min() > 0.9
 
 
 def test_minimal_velocity_requires_hypothesis():
