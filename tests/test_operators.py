@@ -171,6 +171,7 @@ def test_minimal_image_potential_field():
 @pytest.mark.parametrize("pot", [
     poschl_teller(2.0, 1.0, 0.3),
     gaussian_well(1.5, 0.7, -0.2),
+    poschl_teller(0.0, 1.0, 0.5),  # a zero-depth well is zero without being the "zero" family
     zero_potential(),
 ])
 def test_dilated_potential_evaluates_at_scaled_argument(pot):
