@@ -11,8 +11,6 @@ import numpy as np
 
 from scatterlab import (
     ClusterId,
-    ConjugateSpec,
-    FULL_A,
     analytic_commutator_apply,
     commutator_form,
     default_model,
@@ -30,15 +28,14 @@ grid1 = make_grid(1, 256, 32.0)
 # 1. virial identity on a bound state
 h = model.subsystem(ClusterId.PHOTON_FREE)
 res = dense_spectrum(h, grid1, 1)
-form = commutator_form(res.eigenvectors[0], h, FULL_A)
+form = commutator_form(res.eigenvectors[0], h)
 print(f"virial on the bound state at {res.eigenvalues[0]:+.6f}: form = {form:.2e}")
 
 # 2. path independence: quadratic form vs closed-form commutator
 rng = np.random.default_rng(0)
 psi = admissible_random_state(grid1, rng, (2.2,))
 lhs = psi.inner(analytic_commutator_apply(psi, "subsystem:(xy)(0)", model)).real
-rhs = commutator_form(psi, model.subsystem(ClusterId.PAIR_FREE),
-                      ConjugateSpec("internal", ClusterId.PAIR_FREE))
+rhs = commutator_form(psi, model.subsystem(ClusterId.PAIR_FREE))
 print(f"closed-form route {lhs:.10f} vs form route {rhs:.10f} "
       f"(diff {abs(lhs-rhs):.2e})")
 

@@ -11,8 +11,6 @@ channel decomposition) built from them.
 
 from .clusters import ClusterId, TWO_CLUSTERS, cluster_coordinates, cluster_count
 from .commutators import (
-    ConjugateSpec,
-    FULL_A,
     MourreReport,
     analytic_commutator_apply,
     apply_dilation,

@@ -36,6 +36,7 @@ from .propagation import (
     evolve,
     local_decay_trace,
     minimal_velocity_trace,
+    require_time_step,
 )
 from .commutators import mourre_report
 from .partition import build_partition, verify_partition, DEFAULT_SMOOTHING_WIDTH
@@ -188,8 +189,12 @@ def parse_cutoffs(cp) -> CutoffSpec:
 def parse_schedule(cp) -> tuple[float, float]:
     """[schedule] dt and boundary_limit, shared by the four dynamical experiments."""
     _require_section(cp, "schedule")
-    return (_get(cp, "schedule", "dt", float, required=True),
-            _get(cp, "schedule", "boundary_limit", float, default=DEFAULT_BOUNDARY_LIMIT))
+    dt = _get(cp, "schedule", "dt", float, required=True)
+    try:
+        require_time_step(dt)
+    except GridError as exc:
+        raise ConfigError(f"[schedule] {exc}") from exc
+    return dt, _get(cp, "schedule", "boundary_limit", float, default=DEFAULT_BOUNDARY_LIMIT)
 
 
 def _packet(cp, grid: GridSpec, width: float, momenta: str | None = None) -> WaveFunction:
@@ -320,12 +325,12 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         window = parse_window(cp)
         dt, limit = parse_schedule(cp)
         psi0 = _packet(cp, grid, 6.0)
-        table = threshold_table(model, make_grid(*xp.THRESHOLD_GRID))
+        threshold_table(model, make_grid(*xp.THRESHOLD_GRID)).require_clear(window)
         if experiment == "local-decay":
             horizon = _get(cp, "schedule", "horizon", float, required=True)
             mu = _get(cp, "window", "mu", float, default=0.6)
             series = local_decay_trace(psi0, _evolution_hamiltonian(model, grid),
-                                       window, mu=mu, T=horizon, dt=dt, table=table,
+                                       window, mu=mu, T=horizon, dt=dt,
                                        filter_transition=0.25, boundary_limit=limit)
         elif experiment == "min-velocity":
             horizon = _get(cp, "schedule", "horizon", float, required=True)
@@ -338,8 +343,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
             cutoffs = parse_cutoffs(cp)
             times = _float_list(_get(cp, "schedule", "times", str, required=True))
             series = completeness_defect(psi0, model, window, cutoffs, times, dt=dt,
-                                         table=table, filter_transition=0.25,
-                                         boundary_limit=limit)
+                                         filter_transition=0.25, boundary_limit=limit)
         sio.write_csv(out(""), ("t", series.label), list(zip(series.times, series.values)))
         sio.write_sidecar(out("meta", "txt"),
                           {**series.metadata, "seed": seed, "experiment": experiment})

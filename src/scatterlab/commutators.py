@@ -1,13 +1,13 @@
-"""Dilation generators, commutator quadratic forms, and positivity reports.
+"""The dilation generator, commutator quadratic forms, and positivity reports.
 
-The conjugate operator is the dilation generator A = (P.X + X.P)/2, applied
-with the momentum factor spectral and the position factor pointwise.  The
-commutator [H, iA] is never assembled as a matrix; its quadratic form is
-evaluated from two inner products, and the closed-form right-hand sides of
-the first and second commutators are applied directly as multiplier plus
-multiplication operators for cross-checking.  Those closed forms are read
-from one hand-written row per 2-cluster, and every momentum multiplier, the
-dilation's included, is applied by one FFT helper.
+The conjugate operator is the dilation generator A = (P.X + X.P)/2, one per
+grid (:func:`apply_dilation`), applied with the momentum factor spectral and
+the position factor pointwise.  The commutator [H, iA] is never assembled as
+a matrix; its quadratic form is evaluated from two inner products, and the
+closed-form right-hand sides of the first and second commutators are applied
+directly as multiplier plus multiplication operators for cross-checking.
+Those closed forms are read from one hand-written row per 2-cluster; one
+FFT helper applies every momentum multiplier, the dilation's included.
 
 Position weights on a periodic lattice see the sawtooth jump at the box edge,
 so every X-weighted operation requires the state to be concentrated away from
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import CHART, ClusterId, _chart, coordinate, require_two_cluster
+from .clusters import ClusterId, require_two_cluster
 from .errors import (
     BoundaryConcentrationError,
     ClusterError,
@@ -69,45 +69,6 @@ def _in_momentum(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(multiplier * np.fft.fftn(values))
 
 
-@dataclass(frozen=True)
-class ConjugateSpec:
-    """Which dilation generator: the full A, or the internal/external part A^a, A_a."""
-
-    scope: str = "full"
-    cluster: ClusterId | None = None
-
-    def __post_init__(self):
-        if self.scope not in ("full", "internal", "external"):
-            raise ClusterError(f"unknown conjugate scope {self.scope!r}")
-        if self.scope != "full" and self.cluster is not None:
-            _chart(self.cluster)
-
-
-FULL_A = ConjugateSpec("full")
-
-
-def _conjugate_pairs(grid: GridSpec, spec: ConjugateSpec):
-    """Canonical (position field, momentum multiplier) pairs the generator sums over.
-
-    The coordinates are the chart's internal or external tags of the cluster
-    (the full A is A^a of (xy0)).  x -+ y is conjugate to (p -+ k)/2, so that
-    A^a + A_a reproduces the full A exactly.
-    """
-    kmesh = grid.momentum_mesh()
-    if grid.particles == 1:
-        # on a one-particle grid every scope reduces to the lattice dilation
-        return [(coordinate_field(grid, "internal"), kmesh[0])]
-    if spec.scope == "full":
-        tags = CHART[ClusterId.TOGETHER][0]
-    elif spec.cluster is None:
-        raise ClusterError("scoped conjugate on a two-particle grid needs a cluster")
-    else:
-        tags = CHART[spec.cluster][spec.scope == "external"]
-    return [(coordinate_field(grid, t),
-             coordinate(t, *kmesh) if t in ("x", "y") else 0.5 * coordinate(t, *kmesh))
-            for t in tags]
-
-
 def check_boundary_concentration(wf: WaveFunction, tol: float = DEFAULT_BOUNDARY_TOL) -> float:
     mass = wf.boundary_mass(0.8)
     if mass > tol:
@@ -119,19 +80,23 @@ def check_boundary_concentration(wf: WaveFunction, tol: float = DEFAULT_BOUNDARY
     return mass
 
 
-def apply_dilation(wf: WaveFunction, spec: ConjugateSpec = FULL_A,
+def apply_dilation(wf: WaveFunction,
                    boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> WaveFunction:
-    """Apply (1/2)(P.X + X.P) over the coordinates selected by ``spec``."""
+    """Apply A = (1/2)(P.X + X.P), summed over the grid's axes.
+
+    On the two-particle grid that is the full generator, the sum of the x and
+    y dilations; on a one-particle grid it is the lattice dilation, which on
+    a 2-cluster's internal grid is the internal generator A^a.
+    """
     check_boundary_concentration(wf, boundary_tol)
     out = np.zeros(wf.grid.shape, dtype=np.complex128)
-    for pos, mom in _conjugate_pairs(wf.grid, spec):
+    for pos, mom in zip(wf.grid.position_mesh(), wf.grid.momentum_mesh()):
         out = out + 0.5 * (_in_momentum(pos * wf.values, mom)
                            + pos * _in_momentum(wf.values, mom))
     return WaveFunction(wf.grid, out)
 
 
 def commutator_form(wf: WaveFunction, ham: HamiltonianSpec,
-                    spec: ConjugateSpec = FULL_A,
                     boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> float:
     """Quadratic form <psi, [H, iA] psi> = -2 Im <H psi, A psi>.
 
@@ -139,7 +104,7 @@ def commutator_form(wf: WaveFunction, ham: HamiltonianSpec,
     Hermitian lattice operators the value is real by construction, and it
     vanishes on exact eigenvectors of H (the virial identity).
     """
-    apsi = apply_dilation(wf, spec, boundary_tol)
+    apsi = apply_dilation(wf, boundary_tol)
     hpsi = apply_hamiltonian(wf, ham)
     return -2.0 * hpsi.inner(apsi).imag
 
@@ -148,7 +113,7 @@ def analytic_commutator_apply(wf: WaveFunction, which: str, model: ThreeBodyMode
                               s: float | None = None) -> WaveFunction:
     """Apply the closed-form first-commutator operator named by ``which``.
 
-    Two-particle formulas ("free", "full") use the full conjugate A:
+    Two-particle formulas ("free", "full") use the two-particle A:
     2 p^2 + |k| minus the sum of x^a . grad I^a terms.  One-particle
     "subsystem:a" formulas are the internal commutators [h_a, i A^a]; the
     "fibered:a" formulas are the fibers of [H_a, iA] at external momentum s,

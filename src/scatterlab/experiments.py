@@ -23,8 +23,6 @@ import numpy as np
 from . import io as sio
 from .clusters import ClusterId, TWO_CLUSTERS
 from .commutators import (
-    ConjugateSpec,
-    FULL_A,
     analytic_commutator_apply,
     apply_dilation,
     commutator_form,
@@ -365,10 +363,9 @@ def check_virial(seed):
             # the |k|-kinetic bound states have power-law tails, so the strict
             # boundary-concentration default is relaxed; the lattice virial
             # identity is an algebraic one and holds regardless
-            conj = ConjugateSpec("internal", a)
-            form = commutator_form(vec, h, conj, boundary_tol=1e-3)
+            form = commutator_form(vec, h, boundary_tol=1e-3)
             hnorm = apply_hamiltonian(vec, h).norm()
-            anorm = apply_dilation(vec, conj, boundary_tol=1e-3).norm()
+            anorm = apply_dilation(vec, boundary_tol=1e-3).norm()
             bound = 1e-6 * hnorm * anorm
             ok = abs(form) <= bound
             passed = passed and ok
@@ -426,8 +423,8 @@ def check_commutator_paths(seed):
         kc_p = rng.uniform(1.0, 2.0) * rng.choice((-1.0, 1.0))
         kc_k = rng.uniform(2.0, 2.5) * rng.choice((-1.0, 1.0))
         psi2 = admissible_random_state(grid2, rng, (kc_p, kc_k))
-        compare("free", psi2, commutator_form(psi2, h_free, FULL_A))
-        compare("full", psi2, commutator_form(psi2, h_full, FULL_A))
+        compare("free", psi2, commutator_form(psi2, h_free))
+        compare("full", psi2, commutator_form(psi2, h_full))
 
         kc = rng.uniform(2.0, 2.5) * rng.choice((-1.0, 1.0))
         psi1 = admissible_random_state(grid1, rng, (kc,))
@@ -435,10 +432,8 @@ def check_commutator_paths(seed):
         psi_pair = admissible_random_state(grid_pair, rng_pair, (kc,))
         for a in TWO_CLUSTERS:
             psi = psi_pair if a is ClusterId.PAIR_FREE else psi1
-            conj = ConjugateSpec("internal", a)
-            compare(f"subsystem:{a.value}", psi,
-                    commutator_form(psi, model.subsystem(a), conj))
-            fib = commutator_form(psi, model.reduced(a, s), conj)
+            compare(f"subsystem:{a.value}", psi, commutator_form(psi, model.subsystem(a)))
+            fib = commutator_form(psi, model.reduced(a, s))
             compare(f"fibered:{a.value}", psi,
                     fib + _fibered_external_constant(a, s), s=s)
     return (passed, {"worst_rel_diff": worst, "comparisons": len(rows)},

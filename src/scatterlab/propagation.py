@@ -54,6 +54,12 @@ class TraceSeries:
         return float(self.values[-1])
 
 
+def require_time_step(dt: float) -> None:
+    """Raise :class:`GridError` unless ``dt`` is a finite positive time step."""
+    if not 0.0 < dt < np.inf:
+        raise GridError(f"dt must be finite and positive, got {dt}")
+
+
 @dataclass(frozen=True)
 class PropagatorSpec:
     """Strang-split propagator parameters for a fixed Hamiltonian."""
@@ -63,8 +69,7 @@ class PropagatorSpec:
     steps_per_sample: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise GridError("dt must be positive")
+        require_time_step(self.dt)
         if self.steps_per_sample < 1:
             raise GridError("steps_per_sample must be >= 1")
 
@@ -135,6 +140,8 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
     reaches the outer tenth of the box, returning the partial traces on the
     exception.
     """
+    if not T >= 0.0:
+        raise GridError(f"evolve needs a horizon T >= 0, got {T}")
     grid = wf.grid
     op = GridOperator(prop.ham, grid)
     stepper = _Stepper(op, 1j * prop.dt)
@@ -247,6 +254,7 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
     drives the ratio to 2.  ``allow_eigenvalues`` bypasses the
     window precondition for negative controls.
     """
+    require_time_step(dt)
     if not mu > 0.5:
         raise HypothesisError("local decay weight needs mu > 1/2")
     if table is not None:
@@ -292,8 +300,11 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
 
     ``theta`` is the commutator positivity constant for the window; the
     estimate only makes sense for delta < theta.  The trace runs over
-    t in [1, T].
+    t in [1, T], so T >= 1.
     """
+    require_time_step(dt)
+    if not T >= 1.0:
+        raise HypothesisError(f"the minimal velocity trace runs over [1, T]; T = {T} < 1")
     if cutoffs.delta >= theta:
         raise HypothesisError(
             f"delta = {cutoffs.delta} must stay below the commutator constant "
@@ -326,6 +337,7 @@ def _filtered_forward(psi0: WaveFunction, model: ThreeBodyModel, window, times, 
     and ``states[t]`` = e^{-itH} psi at the monotone ``times``, from one march.
     ``states`` is None when ``psi`` is at most 1e-7 ||psi0||: the window misses
     the spectrum, and evolving ripple would only propagate roundoff."""
+    require_time_step(dt)
     if not window[1] < 0:
         raise SpectralWindowError("the channel construction runs at negative energies")
     if table is not None:

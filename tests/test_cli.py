@@ -410,6 +410,70 @@ def test_min_velocity_experiment_smoke(tmp_path):
     assert rows[0].startswith("t,")
 
 
+
+def test_min_velocity_rejects_a_window_holding_a_threshold(tmp_path, capsys):
+    # the default model's (xy)(0) threshold -0.6357 lies in (-0.7, -0.5)
+    wells = "".join(f"{v}_family = poschl_teller\n{v}_strength = 2.0\n"
+                    for v in ("v12", "v13", "v23"))
+    text = (MINVEL_INI.replace("v12_family = zero\nv13_family = zero\nv23_family = zero\n",
+                               wells)
+            .replace("lo = 0.5\nhi = 1.5", "lo = -0.7\nhi = -0.5"))
+    assert "lo = -0.7" in text and "v23_strength" in text
+    cfg = _write(tmp_path, text)
+    assert main(["min-velocity", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "contains the threshold" in capsys.readouterr().err
+
+
+LOCAL_DECAY_INI = """
+[experiment]
+name = local-decay
+seed = 3
+
+[model]
+v12_family = poschl_teller
+v12_strength = 2.0
+
+[grid]
+particles = 1
+points = 256
+half_extent = 32.0
+
+[window]
+lo = 0.5
+hi = 1.5
+
+[schedule]
+dt = 0.05
+horizon = 1.0
+boundary_limit = 1.0
+
+[packet]
+axis_momenta = 1.0
+width = 2.0
+"""
+
+
+def test_local_decay_experiment(tmp_path):
+    cfg = _write(tmp_path, LOCAL_DECAY_INI)
+    out = tmp_path / "out"
+    assert main(["local-decay", "--config", cfg, "--out", str(out)]) == 0
+    (csv,) = out.glob("*.csv")
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "t,local_decay_integral"
+    integral = np.array([float(r.split(",")[1]) for r in rows[1:]])
+    assert integral[0] == 0.0 and np.all(np.diff(integral) >= 0.0)
+    (meta,) = out.glob("*-meta.txt")
+    assert "saturation_ratio = " in meta.read_text()
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.05", "nan"])
+def test_bad_time_step_is_a_config_error(tmp_path, capsys, dt):
+    cfg = _write(tmp_path, LOCAL_DECAY_INI.replace("dt = 0.05", f"dt = {dt}"))
+    assert main(["local-decay", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [schedule] dt must be finite and positive" in err
+
+
 SPECTRUM_INI = """
 [experiment]
 name = spectrum

@@ -9,7 +9,6 @@ from scatterlab.clusters import (
     coordinate,
     require_two_cluster,
 )
-from scatterlab.commutators import ConjugateSpec
 from scatterlab.errors import ClusterError
 from scatterlab.model import default_model
 
@@ -75,8 +74,6 @@ def test_anything_but_a_cluster_id_raises_cluster_error(a):
              lambda: cluster_coordinates(a, (1.0, 0.5)),
              lambda: model.subsystem(a), lambda: model.reduced(a, 0.3),
              lambda: model.truncated(a), lambda: model.intercluster(a)]
-    if a is not None:  # a scoped conjugate without a cluster is the one-particle dilation
-        calls.append(lambda: ConjugateSpec("internal", a))
     for call in calls:
         with pytest.raises(ClusterError):
             call()

@@ -3,8 +3,6 @@ import pytest
 
 from scatterlab.clusters import ClusterId, TWO_CLUSTERS
 from scatterlab.commutators import (
-    ConjugateSpec,
-    FULL_A,
     analytic_commutator_apply,
     apply_dilation,
     commutator_form,
@@ -39,16 +37,6 @@ def test_dilation_annihilates_even_real_state():
     assert abs(val) <= 1e-10
 
 
-@pytest.mark.parametrize("a", list(ClusterId))
-def test_dilation_splits_into_internal_external(a):
-    grid = make_grid(2, 128, 24.0)
-    psi = gaussian_packet(grid, 0.0, (0.5, 0.7), 1.5)
-    full = apply_dilation(psi, FULL_A)
-    internal = apply_dilation(psi, ConjugateSpec("internal", a))
-    external = apply_dilation(psi, ConjugateSpec("external", a))
-    assert (full - internal - external).norm() <= 1e-10 * psi.norm()
-
-
 def test_dilation_gaussian_quadrature_oracle():
     # <psi, A^2 psi> for the unit Gaussian: A psi = -i(1/2 - x^2) psi, so the
     # value is <x^4> - <x^2> + 1/4 = 3/4 - 1/2 + 1/4 = 1/2
@@ -76,7 +64,7 @@ def test_free_commutator_form_value():
     grid = make_grid(2, 128, 24.0)
     psi = gaussian_packet(grid, 0.0, (1.0, 2.0), 2.0)
     h0 = HamiltonianSpec(free_symbol(), ())
-    form = commutator_form(psi, h0, FULL_A)
+    form = commutator_form(psi, h0)
     # 2 p0^2 + |k0| = 4 up to the packet-width corrections
     spread = 2.0 / (2.0 * 2.0 ** 2)
     assert form == pytest.approx(4.0 + spread, abs=0.05)
@@ -87,7 +75,7 @@ def test_virial_on_eigenvector():
     h = HamiltonianSpec(quadratic_symbol(1.0), ((poschl_teller(2.0, 1.0), "internal"),))
     res = dense_spectrum(h, grid, 1)
     psi = res.eigenvectors[0]
-    form = commutator_form(psi, h, FULL_A)
+    form = commutator_form(psi, h)
     from scatterlab.operators import apply_hamiltonian
     bound = 1e-6 * apply_hamiltonian(psi, h).norm() * apply_dilation(psi).norm()
     assert abs(form) <= bound
@@ -214,5 +202,5 @@ def test_eigenstate_not_deflated_flags_virial():
     grid = make_grid(1, 256, 16.0)
     h = HamiltonianSpec(quadratic_symbol(1.0), ((poschl_teller(2.0, 1.0), "internal"),))
     res = dense_spectrum(h, grid, 1)
-    form = commutator_form(res.eigenvectors[0], h, FULL_A)
+    form = commutator_form(res.eigenvectors[0], h)
     assert abs(form) < 1e-8

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scatterlab import propagation
 from scatterlab.clusters import TWO_CLUSTERS, ClusterId
 from scatterlab.commutators import mourre_report
 from scatterlab.errors import (
@@ -13,6 +14,7 @@ from scatterlab.lattice import gaussian_packet, make_grid
 from scatterlab.model import default_model, free_model
 from scatterlab.operators import (
     HamiltonianSpec,
+    _Stepper,
     absolute_symbol,
     free_symbol,
     poschl_teller,
@@ -29,6 +31,7 @@ from scatterlab.propagation import (
     minimal_velocity_trace,
     shrinking_region_field,
     wave_operator_approx,
+    wave_operator_cauchy,
 )
 from scatterlab.spectral import ThresholdTable
 
@@ -163,6 +166,10 @@ def test_minimal_velocity_requires_hypothesis():
     with pytest.raises(HypothesisError):
         minimal_velocity_trace(psi, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5),
                                cut, T=4.0, dt=0.05, theta=0.5)
+    # the shrinking-region cutoffs start at t = 1, so T < 1 has no sample to take
+    with pytest.raises(HypothesisError, match="T = 0.5 < 1"):
+        minimal_velocity_trace(psi, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5),
+                               CutoffSpec(delta=0.2, eps=0.1), T=0.5, dt=0.05, theta=0.5)
 
 
 def test_wave_operator_empty_window_free_case():
@@ -301,3 +308,45 @@ def test_every_stepping_caller_stops_at_the_boundary(caller):
     with pytest.raises(BoundaryBreachError) as err:
         runs[caller]()
     assert 0.0 < err.value.time < 10.0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("filtered or stepped before the arguments were checked")
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.05, np.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("caller", ["evolve", "local_decay_trace", "minimal_velocity_trace",
+                                    "completeness_defect", "wave_operator_approx",
+                                    "wave_operator_cauchy"])
+def test_every_stepping_caller_rejects_a_bad_time_step(monkeypatch, caller, dt):
+    # a negative dt would march backward, zero divides and NaN never ends a block
+    monkeypatch.setattr(_Stepper, "step", _refuse)
+    monkeypatch.setattr(propagation, "spectral_filter", _refuse)
+    h = HamiltonianSpec(quadratic_symbol(1.0), ((poschl_teller(2.0, 1.0), "internal"),))
+    psi1 = gaussian_packet(make_grid(1, 64, 16.0), 0.0, 0.5, 2.0)
+    psi2 = gaussian_packet(make_grid(2, 32, 16.0), 0.0, (0.5, 0.5), 2.0)
+    model, cut, window = default_model(), CutoffSpec(delta=0.2, eps=0.05), (-0.8, -0.6)
+    calls = {
+        "evolve": lambda: evolve(psi1, PropagatorSpec(h, dt=dt), T=1.0),
+        "local_decay_trace": lambda: local_decay_trace(psi1, h, (0.5, 1.5), mu=0.6, T=2.0,
+                                                       dt=dt),
+        "minimal_velocity_trace": lambda: minimal_velocity_trace(
+            psi2, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5), cut, T=2.0, dt=dt,
+            theta=0.5),
+        "completeness_defect": lambda: completeness_defect(psi2, model, window, cut,
+                                                           (2.0, 4.0), dt=dt),
+        "wave_operator_approx": lambda: wave_operator_approx(
+            ClusterId.PHOTON_FREE, psi2, model, window, cut, t=2.0, dt=dt),
+        "wave_operator_cauchy": lambda: wave_operator_cauchy(
+            ClusterId.PHOTON_FREE, psi2, model, window, cut, (2.0, 4.0), dt=dt),
+    }
+    with pytest.raises(GridError, match="dt must be finite and positive"):
+        calls[caller]()
+
+
+def test_evolve_rejects_a_negative_horizon(monkeypatch):
+    monkeypatch.setattr(_Stepper, "step", _refuse)
+    psi = gaussian_packet(make_grid(1, 64, 16.0), 0.0, 0.5, 2.0)
+    with pytest.raises(GridError, match="T >= 0"):
+        evolve(psi, PropagatorSpec(HamiltonianSpec(quadratic_symbol(1.0), ()), dt=0.05), T=-1.0)
+
