@@ -36,6 +36,8 @@ from .propagation import (
     evolve,
     local_decay_trace,
     minimal_velocity_trace,
+    require_finite_times,
+    require_horizon,
     require_time_step,
 )
 from .commutators import mourre_report
@@ -186,14 +188,21 @@ def parse_cutoffs(cp) -> CutoffSpec:
     )
 
 
-def parse_schedule(cp) -> tuple[float, float]:
-    """[schedule] dt and boundary_limit, shared by the four dynamical experiments."""
+def _schedule_key(cp, key: str, cast, check):
+    """The required [schedule] ``key``, read with ``cast`` and passed through the
+    library's time ``check``, whose :class:`GridError` becomes :class:`ConfigError`."""
     _require_section(cp, "schedule")
-    dt = _get(cp, "schedule", "dt", float, required=True)
+    value = _get(cp, "schedule", key, cast, required=True)
     try:
-        require_time_step(dt)
+        check(value)
     except GridError as exc:
         raise ConfigError(f"[schedule] {exc}") from exc
+    return value
+
+
+def parse_schedule(cp) -> tuple[float, float]:
+    """[schedule] dt and boundary_limit, shared by the four dynamical experiments."""
+    dt = _schedule_key(cp, "dt", float, require_time_step)
     return dt, _get(cp, "schedule", "boundary_limit", float, default=DEFAULT_BOUNDARY_LIMIT)
 
 
@@ -307,7 +316,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
     elif experiment == "evolve":
         model, grid = _model_on_grid(cp, experiment)
         dt, limit = parse_schedule(cp)
-        horizon = _get(cp, "schedule", "horizon", float, required=True)
+        horizon = _schedule_key(cp, "horizon", float, require_horizon)
         psi0 = _packet(cp, grid, 2.0, _get(cp, "packet", "momentum", str, default="0"))
         ham = _evolution_hamiltonian(model, grid)
         final, traces = evolve(psi0, PropagatorSpec(ham, dt=dt), horizon,
@@ -325,25 +334,27 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         window = parse_window(cp)
         dt, limit = parse_schedule(cp)
         psi0 = _packet(cp, grid, 6.0)
-        threshold_table(model, make_grid(*xp.THRESHOLD_GRID)).require_clear(window)
+        if experiment == "channels":
+            times = _schedule_key(cp, "times", _float_list, require_finite_times)
+        else:
+            horizon = _schedule_key(cp, "horizon", float, require_horizon)
+        table = threshold_table(model, make_grid(*xp.THRESHOLD_GRID))
         if experiment == "local-decay":
-            horizon = _get(cp, "schedule", "horizon", float, required=True)
             mu = _get(cp, "window", "mu", float, default=0.6)
             series = local_decay_trace(psi0, _evolution_hamiltonian(model, grid),
-                                       window, mu=mu, T=horizon, dt=dt,
+                                       window, mu=mu, T=horizon, dt=dt, table=table,
                                        filter_transition=0.25, boundary_limit=limit)
         elif experiment == "min-velocity":
-            horizon = _get(cp, "schedule", "horizon", float, required=True)
             cutoffs = parse_cutoffs(cp)
             series = minimal_velocity_trace(psi0, model.full(), window, cutoffs,
-                                            T=horizon, dt=dt, theta=window[0],
+                                            T=horizon, dt=dt, table=table,
                                             filter_transition=0.25,
                                             boundary_limit=limit)
         else:
             cutoffs = parse_cutoffs(cp)
-            times = _float_list(_get(cp, "schedule", "times", str, required=True))
             series = completeness_defect(psi0, model, window, cutoffs, times, dt=dt,
-                                         filter_transition=0.25, boundary_limit=limit)
+                                         table=table, filter_transition=0.25,
+                                         boundary_limit=limit)
         sio.write_csv(out(""), ("t", series.label), list(zip(series.times, series.values)))
         sio.write_sidecar(out("meta", "txt"),
                           {**series.metadata, "seed": seed, "experiment": experiment})

@@ -626,7 +626,7 @@ def check_local_decay(seed):
     ground = dense_spectrum(h_c, grid_c, 1)
     series = local_decay_trace(ground.eigenvectors[0], h_c,
                                (ground.eigenvalues[0] - 0.1, ground.eigenvalues[0] + 0.1),
-                               mu=0.6, T=16.0, dt=0.05, allow_eigenvalues=True)
+                               mu=0.6, T=16.0, dt=0.05, table=free_threshold_table())
     control_ratio = series.metadata["saturation_ratio"]
     values["eigenstate_ratio"] = control_ratio
     ok &= control_ratio >= 1.8
@@ -650,14 +650,14 @@ def check_minimal_velocity(seed):
     h0 = HamiltonianSpec(free_symbol(), ())
     # slow enough that the fast spectral tail stays inside the box to T = 40
     psi0 = gaussian_packet(grid, 0.0, (0.5, 0.8), 6.0)
-    # on (0.5, 1.5) the free commutator bound is the window bottom
+    # on (0.5, 1.5) the free commutator bound is d(0.5) = 0.5, the window bottom
     series = minimal_velocity_trace(psi0, h0, (0.5, 1.5), cutoffs, T=40.0, dt=0.05,
-                                    theta=0.5, sample_interval=2.0)
+                                    table=free_threshold_table(), sample_interval=2.0)
     values["free_final"] = series.final()
     ok &= series.final() <= 0.05
     rows += [("free", t, v) for t, v in zip(series.times, series.values)]
 
-    # negative control: the window holds a bound state, which never escapes;
+    # negative control: a bound state below every threshold never escapes;
     # deep wells keep the state compact, and the power-law tails of the
     # massless-particle kinetics still wrap a little, so the breach guard is
     # relaxed (the observable lives near the origin and does not care)
@@ -667,7 +667,8 @@ def check_minimal_velocity(seed):
     e0 = res.eigenvalues[0]
     series = minimal_velocity_trace(res.eigenvectors[0], model.full(),
                                     (e0 - 0.1, e0 + 0.1), cutoffs, T=40.0, dt=0.05,
-                                    theta=0.5, sample_interval=2.0, skip_filter=True,
+                                    table=threshold_table(model, make_grid(*THRESHOLD_GRID)),
+                                    sample_interval=2.0, skip_filter=True,
                                     boundary_limit=1e-2)
     values["eigenstate_final"] = series.final()
     ok &= series.final() >= 0.9
@@ -727,7 +728,7 @@ def check_channels(seed):
     psi_f = gaussian_packet(grid_f, 0.0, (0.5, 0.5), 4.0)
     free_series = completeness_defect(psi_f, free_model(), window, cutoffs,
                                       schedule=(4.0, 8.0), dt=0.05,
-                                      filter_ripple=1e-10)
+                                      table=free_threshold_table(), filter_ripple=1e-10)
     free_final = float(np.max(free_series.values)) if free_series.values.size else 0.0
     values["free_filtered_norm"] = free_series.metadata["filtered_norm"]
     values["free_max_defect"] = free_final

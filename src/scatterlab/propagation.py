@@ -23,7 +23,7 @@ from .lattice import GridSpec, WaveFunction
 from .model import ThreeBodyModel
 from .operators import (GridOperator, HamiltonianSpec, _Stepper, apply_hamiltonian,
                         coordinate_field)
-from .spectral import ThresholdTable, deflate_against, spectral_filter
+from .spectral import ThresholdTable, deflate_against, distance_to_threshold, spectral_filter
 
 BOUNDARY_SHELL_FRACTION = 0.9
 DEFAULT_BOUNDARY_LIMIT = 1e-6
@@ -58,6 +58,18 @@ def require_time_step(dt: float) -> None:
     """Raise :class:`GridError` unless ``dt`` is a finite positive time step."""
     if not 0.0 < dt < np.inf:
         raise GridError(f"dt must be finite and positive, got {dt}")
+
+
+def require_horizon(T: float) -> None:
+    """Raise :class:`GridError` unless ``T`` is a finite horizon T >= 0."""
+    if not 0.0 <= T < np.inf:
+        raise GridError(f"need a finite horizon T >= 0, got {T}")
+
+
+def require_finite_times(times) -> None:
+    """Raise :class:`GridError` unless every time in ``times`` is finite."""
+    if not np.all(np.isfinite(times)):
+        raise GridError(f"times must be finite, got {list(times)}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +152,7 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
     reaches the outer tenth of the box, returning the partial traces on the
     exception.
     """
-    if not T >= 0.0:
-        raise GridError(f"evolve needs a horizon T >= 0, got {T}")
+    require_horizon(T)
     grid = wf.grid
     op = GridOperator(prop.ham, grid)
     stepper = _Stepper(op, 1j * prop.dt)
@@ -241,8 +252,7 @@ def channel_cutoff(a: ClusterId, t: float, cutoffs: CutoffSpec, grid: GridSpec) 
 
 
 def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: float,
-                      T: float, dt: float, table: ThresholdTable | None = None,
-                      known_eigenvalues=(), allow_eigenvalues: bool = False,
+                      T: float, dt: float, table: ThresholdTable, known_eigenvalues=(),
                       filter_transition: float = 0.1,
                       boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> TraceSeries:
     """Cumulative weighted-decay integral I(t) for the filtered evolution.
@@ -251,20 +261,19 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
     ||<X>^(-mu) psi(t)||^2, sampled every 0.25 time units (or every step if
     dt is longer).  The saturation ratio I(T)/I(T/2) lands in the metadata;
     bounded ratios signal time-integrability, an eigenstate in the window
-    drives the ratio to 2.  ``allow_eigenvalues`` bypasses the
-    window precondition for negative controls.
+    drives the ratio to 2.  The window must hold no threshold of ``table``
+    and none of the ``known_eigenvalues``.
     """
     require_time_step(dt)
+    require_horizon(T)
     if not mu > 0.5:
         raise HypothesisError("local decay weight needs mu > 1/2")
-    if table is not None:
-        table.require_clear(window)
-    if not allow_eigenvalues:
-        for lam in known_eigenvalues:
-            if window[0] <= lam <= window[1]:
-                raise SpectralWindowError(
-                    f"window {tuple(window)} contains the eigenvalue {lam:.6f}; "
-                    "local decay needs a window in the continuous spectrum")
+    table.require_clear(window)
+    for lam in known_eigenvalues:
+        if window[0] <= lam <= window[1]:
+            raise SpectralWindowError(
+                f"window {tuple(window)} contains the eigenvalue {lam:.6f}; "
+                "local decay needs a window in the continuous spectrum")
     grid = psi0.grid
     psi = _unit_filtered(psi0, ham, window, filter_transition)
 
@@ -292,19 +301,24 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
 
 
 def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
-                           cutoffs: CutoffSpec, T: float, dt: float, theta: float,
+                           cutoffs: CutoffSpec, T: float, dt: float, table: ThresholdTable,
                            sample_interval: float = 1.0, skip_filter: bool = False,
                            filter_transition: float = 0.1,
                            boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> TraceSeries:
     """Norm of the evolved filtered state inside the shrinking region X^2 < delta t^(2-eps).
 
-    ``theta`` is the commutator positivity constant for the window; the
-    estimate only makes sense for delta < theta.  The trace runs over
-    t in [1, T], so T >= 1.
+    The window must hold no threshold of ``table``; the commutator constant
+    theta is then d(E) at its bottom edge, where d is smallest, and delta < theta.
+    The trace samples every ``sample_interval`` over t in [1, T], so T >= 1.
     """
     require_time_step(dt)
+    require_finite_times((T,))
     if not T >= 1.0:
         raise HypothesisError(f"the minimal velocity trace runs over [1, T]; T = {T} < 1")
+    if not 0.0 < sample_interval < np.inf:
+        raise GridError(f"sample_interval must be finite and positive, got {sample_interval}")
+    table.require_clear(window)
+    theta = distance_to_threshold(window[0], table)
     if cutoffs.delta >= theta:
         raise HypothesisError(
             f"delta = {cutoffs.delta} must stay below the commutator constant "
@@ -330,18 +344,18 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
 
 
 def _filtered_forward(psi0: WaveFunction, model: ThreeBodyModel, window, times, dt: float,
-                      table: ThresholdTable | None, filter_ripple: float,
+                      table: ThresholdTable, filter_ripple: float,
                       filter_transition: float, boundary_limit: float,
                       deflate_eigenvectors=()) -> tuple[WaveFunction, dict | None]:
-    """``(psi, states)``: after the window checks, ``psi`` = E_window(H) psi0, deflated,
+    """``(psi, states)``: after the checks, ``psi`` = E_window(H) psi0, deflated,
     and ``states[t]`` = e^{-itH} psi at the monotone ``times``, from one march.
     ``states`` is None when ``psi`` is at most 1e-7 ||psi0||: the window misses
     the spectrum, and evolving ripple would only propagate roundoff."""
     require_time_step(dt)
+    require_finite_times(times)
     if not window[1] < 0:
         raise SpectralWindowError("the channel construction runs at negative energies")
-    if table is not None:
-        table.require_clear(window)
+    table.require_clear(window)
     ham_full = model.full()
     psi = spectral_filter(psi0, ham_full, window, target_ripple=filter_ripple,
                           transition_fraction=filter_transition)
@@ -384,14 +398,15 @@ def _approximants(a, psi0, model, window, cutoffs, schedule, dt, table, filter_r
 
 def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel,
                          window, cutoffs: CutoffSpec, t: float, dt: float,
-                         table: ThresholdTable | None = None, filter_ripple: float = 1e-6,
+                         table: ThresholdTable, filter_ripple: float = 1e-6,
                          filter_transition: float = 0.1,
                          boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> WaveFunction:
     """Channel-a approximant: filter, evolve to t under H, cut, evolve back under H_a.
 
     Realizes e^{+i H_a t} F_a e^{-i H t} E_window(H) psi0 at one time, with
     F_a the channel cutoff on the internal coordinate of ``a``: the path of
-    :func:`wave_operator_cauchy` on the schedule ``[t]``.  An empty window
+    :func:`wave_operator_cauchy` on the schedule ``[t]``.  The window must
+    be negative and hold no threshold of ``table``.  An empty window
     returns the ripple-level filtered state unevolved.
     """
     return _approximants(a, psi0, model, window, cutoffs, [t], dt, table, filter_ripple,
@@ -400,8 +415,7 @@ def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
 
 def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel,
                          window, cutoffs: CutoffSpec, schedule, dt: float,
-                         table: ThresholdTable | None = None,
-                         filter_transition: float = 0.1,
+                         table: ThresholdTable, filter_transition: float = 0.1,
                          boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> TraceSeries:
     """Stabilization of the channel approximants along a time schedule.
 
@@ -409,7 +423,7 @@ def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
     decreasing differences are the numerical footprint of the existence of
     the channel wave operators.  One filter (ripple 1e-6) and one forward
     march serve every time; each phi_a(t) is bit for bit
-    :func:`wave_operator_approx` at t.
+    :func:`wave_operator_approx` at t, with the same window checks.
     """
     schedule = sorted(float(t) for t in np.atleast_1d(schedule))
     if len(schedule) < 2:
@@ -424,16 +438,16 @@ def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
 
 def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
                         cutoffs: CutoffSpec, schedule, dt: float,
-                        table: ThresholdTable | None = None,
-                        deflate_eigenvectors=(), filter_ripple: float = 1e-6,
-                        filter_transition: float = 0.1,
+                        table: ThresholdTable, deflate_eigenvectors=(),
+                        filter_ripple: float = 1e-6, filter_transition: float = 0.1,
                         boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> TraceSeries:
     """Defect || e^{-itH} psi - sum_a e^{-itH_a} phi_a || along a time schedule.
 
     The channel states phi_a come from the approximate wave operators at the
     largest scheduled time (the best approximants), then evolve freely in
     their channels.  ``deflate_eigenvectors`` removes bound-state components
-    from the filtered initial state first.
+    from the filtered initial state first.  The window must be negative and
+    hold no threshold of ``table``.
     """
     schedule = sorted(float(t) for t in np.atleast_1d(schedule))
     if not schedule or schedule[0] < 1.0:

@@ -2,6 +2,7 @@ import contextlib
 import glob
 import hashlib
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,9 @@ from scatterlab import experiments as xp
 from scatterlab.cli import (_SCHEMA, EXPERIMENTS, _parse_ini, main, parse_cutoffs,
                             parse_grid, parse_model, parse_window, serialize_config)
 from scatterlab.errors import ConfigError, HypothesisError, ScatterError
+from scatterlab.lattice import make_grid
+from scatterlab.model import default_model
+from scatterlab.spectral import distance_to_threshold, threshold_table
 
 THRESHOLDS_INI = """
 [experiment]
@@ -411,17 +415,34 @@ def test_min_velocity_experiment_smoke(tmp_path):
 
 
 
+# MINVEL_INI with the default model's three Poschl-Teller wells of strength 2
+MINVEL_WELLS_INI = MINVEL_INI.replace(
+    "v12_family = zero\nv13_family = zero\nv23_family = zero\n",
+    "".join(f"{v}_family = poschl_teller\n{v}_strength = 2.0\n" for v in ("v12", "v13", "v23")))
+
+
 def test_min_velocity_rejects_a_window_holding_a_threshold(tmp_path, capsys):
     # the default model's (xy)(0) threshold -0.6357 lies in (-0.7, -0.5)
-    wells = "".join(f"{v}_family = poschl_teller\n{v}_strength = 2.0\n"
-                    for v in ("v12", "v13", "v23"))
-    text = (MINVEL_INI.replace("v12_family = zero\nv13_family = zero\nv23_family = zero\n",
-                               wells)
-            .replace("lo = 0.5\nhi = 1.5", "lo = -0.7\nhi = -0.5"))
+    text = MINVEL_WELLS_INI.replace("lo = 0.5\nhi = 1.5", "lo = -0.7\nhi = -0.5")
     assert "lo = -0.7" in text and "v23_strength" in text
     cfg = _write(tmp_path, text)
     assert main(["min-velocity", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "contains the threshold" in capsys.readouterr().err
+
+
+def test_min_velocity_reads_theta_from_the_threshold_table(tmp_path):
+    # theta is d(E) at the window's bottom edge, not the edge itself (-0.45)
+    text = (MINVEL_WELLS_INI.replace("lo = 0.5\nhi = 1.5", "lo = -0.45\nhi = -0.15")
+            .replace("delta = 0.2\neps = 0.1", "delta = 0.02\neps = 0.01")
+            .replace("horizon = 6.0\nboundary_limit = 1e-4", "horizon = 2\nboundary_limit = 1e-2"))
+    assert "lo = -0.45" in text and "delta = 0.02" in text and "horizon = 2\n" in text
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["min-velocity", "--config", cfg, "--out", str(out)]) == 0
+    (meta,) = out.glob("*-meta.txt")
+    sidecar = dict(line.split(" = ", 1) for line in meta.read_text().splitlines())
+    table = threshold_table(default_model(), make_grid(*xp.THRESHOLD_GRID))
+    assert float(sidecar["theta"]) == distance_to_threshold(-0.45, table)
 
 
 LOCAL_DECAY_INI = """
@@ -472,6 +493,32 @@ def test_bad_time_step_is_a_config_error(tmp_path, capsys, dt):
     assert main(["local-decay", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error: [schedule] dt must be finite and positive" in err
+
+
+@pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("name, text", [
+    ("evolve", (SHIPPED / "evolve.ini").read_text()), ("local-decay", LOCAL_DECAY_INI),
+], ids=["evolve", "local-decay"])
+def test_bad_horizon_is_a_config_error(tmp_path, capsys, name, text, horizon):
+    # inf overflowed the step count after the filter; -1 exited 1, or 1 after a march
+    bad, count = re.subn(r"^horizon = .*$", f"horizon = {horizon}", text, flags=re.M)
+    assert count == 1
+    cfg = _write(tmp_path, bad)
+    assert main([name, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: [schedule] need a finite horizon T >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("times, message", [
+    ("2 4 8 inf", "times must be finite"), ("2 4 8 x", "could not convert"),
+], ids=["inf", "not-a-number"])
+def test_bad_schedule_times_are_a_config_error(tmp_path, capsys, times, message):
+    # both died with a traceback, inf after the channel filter
+    text = (SHIPPED / "channels.ini").read_text()
+    assert "times = 2 4 8 16\n" in text
+    cfg = _write(tmp_path, text.replace("times = 2 4 8 16\n", f"times = {times}\n"))
+    assert main(["channels", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [schedule] times" in err and message in err
 
 
 SPECTRUM_INI = """

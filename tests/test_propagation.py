@@ -10,6 +10,7 @@ from scatterlab.errors import (
     HypothesisError,
     SpectralWindowError,
 )
+from scatterlab.experiments import free_threshold_table
 from scatterlab.lattice import gaussian_packet, make_grid
 from scatterlab.model import default_model, free_model
 from scatterlab.operators import (
@@ -33,7 +34,7 @@ from scatterlab.propagation import (
     wave_operator_approx,
     wave_operator_cauchy,
 )
-from scatterlab.spectral import ThresholdTable
+from scatterlab.spectral import ThresholdTable, threshold_table
 
 
 def test_norm_conservation():
@@ -165,11 +166,12 @@ def test_minimal_velocity_requires_hypothesis():
     cut = CutoffSpec(delta=0.6, eps=0.1)
     with pytest.raises(HypothesisError):
         minimal_velocity_trace(psi, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5),
-                               cut, T=4.0, dt=0.05, theta=0.5)
+                               cut, T=4.0, dt=0.05, table=free_threshold_table())
     # the shrinking-region cutoffs start at t = 1, so T < 1 has no sample to take
     with pytest.raises(HypothesisError, match="T = 0.5 < 1"):
         minimal_velocity_trace(psi, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5),
-                               CutoffSpec(delta=0.2, eps=0.1), T=0.5, dt=0.05, theta=0.5)
+                               CutoffSpec(delta=0.2, eps=0.1), T=0.5, dt=0.05,
+                               table=free_threshold_table())
 
 
 def test_wave_operator_empty_window_free_case():
@@ -177,7 +179,8 @@ def test_wave_operator_empty_window_free_case():
     psi = gaussian_packet(grid, 0.0, (0.5, 0.5), 3.0)
     cut = CutoffSpec(delta=0.2, eps=0.05)
     phi = wave_operator_approx(ClusterId.PHOTON_FREE, psi, free_model(), (-0.8, -0.4),
-                               cut, t=2.0, dt=0.05, filter_ripple=1e-9)
+                               cut, t=2.0, dt=0.05, table=free_threshold_table(),
+                               filter_ripple=1e-9)
     assert phi.norm() <= 1e-7
 
 
@@ -188,8 +191,11 @@ def test_completeness_defect_norm_bound():
     model = default_model()
     psi = gaussian_packet(grid, 0.0, (0.4, 0.4), 3.0)
     cut = CutoffSpec(delta=0.12, eps=0.02)
+    # (-0.8, -0.6) holds the model's (xy)(0) threshold -0.6357, but the triangle
+    # bound holds on any window, so the free table lets the construction run
     series = completeness_defect(psi, model, (-0.8, -0.6), cut, (2.0, 4.0), dt=0.05,
-                                 filter_transition=0.25, boundary_limit=1e-3)
+                                 table=free_threshold_table(), filter_transition=0.25,
+                                 boundary_limit=1e-3)
     assert np.all(series.values <= 4.0 * max(series.metadata["filtered_norm"], 1e-30))
 
 
@@ -200,7 +206,7 @@ def test_wave_operator_requires_negative_window():
     from scatterlab.errors import SpectralWindowError
     with pytest.raises(SpectralWindowError):
         wave_operator_approx(ClusterId.PHOTON_FREE, psi, free_model(), (0.5, 1.5),
-                             cut, t=2.0, dt=0.05)
+                             cut, t=2.0, dt=0.05, table=free_threshold_table())
 
 
 def test_local_decay_window_preconditions():
@@ -216,7 +222,7 @@ def test_local_decay_window_preconditions():
     with pytest.raises(SpectralWindowError):
         local_decay_trace(psi, h, (-1.2, -0.8), mu=0.6, T=1.0, dt=0.05, table=table)
     with pytest.raises(SpectralWindowError):
-        local_decay_trace(psi, h, (0.4, 0.8), mu=0.6, T=1.0, dt=0.05,
+        local_decay_trace(psi, h, (0.4, 0.8), mu=0.6, T=1.0, dt=0.05, table=table,
                           known_eigenvalues=(0.5,))
 
 
@@ -245,12 +251,13 @@ def test_one_forward_march_equals_one_march_per_time():
     from scatterlab.experiments import dynamics_model, bound_ground_1d, product_state
 
     model = dynamics_model()
+    table = threshold_table(model, make_grid(1, 256, 32.0))
     grid = make_grid(2, 128, 48.0)
     _, _, xg = bound_ground_1d(model, ClusterId.PHOTON_FREE, 128, 48.0)
     yp = gaussian_packet(make_grid(1, 128, 48.0), 4.0, 0.5, 4.0)
     psi0 = product_state(grid, xg.values, yp.values)
     args = (ClusterId.PHOTON_FREE, psi0, model, (-0.7, -0.4), CutoffSpec(delta=0.12, eps=0.02))
-    kwargs = dict(dt=0.05, filter_transition=0.25, boundary_limit=1e-3)
+    kwargs = dict(dt=0.05, table=table, filter_transition=0.25, boundary_limit=1e-3)
     schedule = (2.0, 3.0, 4.0)
     series = wave_operator_cauchy(*args, schedule, **kwargs)
     phis = [wave_operator_approx(*args, t=t, **kwargs) for t in schedule]
@@ -258,9 +265,16 @@ def test_one_forward_march_equals_one_march_per_time():
     assert np.array_equal(series.values, [(phis[j + 1] - phis[j]).norm() for j in range(2)])
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("filtered or stepped before the arguments were checked")
+
+
 @pytest.mark.parametrize("caller", ["mourre_report", "local_decay_trace",
-                                    "wave_operator_approx", "completeness_defect"])
-def test_every_window_caller_rejects_a_threshold(caller):
+                                    "minimal_velocity_trace", "wave_operator_approx",
+                                    "wave_operator_cauchy", "completeness_defect"])
+def test_every_window_caller_rejects_a_threshold(monkeypatch, caller):
+    monkeypatch.setattr(_Stepper, "step", _refuse)
+    monkeypatch.setattr(propagation, "spectral_filter", _refuse)
     table = ThresholdTable({a: np.array([-0.5]) for a in TWO_CLUSTERS})
     window = (-0.6, -0.3)              # holds -0.5; E = -0.4 is no threshold
     grid1, grid2 = make_grid(1, 64, 16.0), make_grid(2, 32, 16.0)
@@ -273,8 +287,13 @@ def test_every_window_caller_rejects_a_threshold(caller):
         "mourre_report": lambda: mourre_report(-0.4, window, model, grid2, table, samples=1),
         "local_decay_trace": lambda: local_decay_trace(psi1, h1, window, mu=0.6, T=1.0,
                                                        dt=0.05, table=table),
+        "minimal_velocity_trace": lambda: minimal_velocity_trace(
+            psi2, model.full(), window, cut, T=2.0, dt=0.05, table=table),
         "wave_operator_approx": lambda: wave_operator_approx(
             ClusterId.PHOTON_FREE, psi2, model, window, cut, t=2.0, dt=0.05, table=table),
+        "wave_operator_cauchy": lambda: wave_operator_cauchy(
+            ClusterId.PHOTON_FREE, psi2, model, window, cut, (2.0, 4.0), dt=0.05,
+            table=table),
         "completeness_defect": lambda: completeness_defect(
             psi2, model, window, cut, (2.0, 4.0), dt=0.05, table=table),
     }
@@ -299,19 +318,40 @@ def test_every_stepping_caller_stops_at_the_boundary(caller):
     runs = {
         "evolve": lambda: evolve(psi1, PropagatorSpec(h, dt=0.05), T=10.0),
         "local_decay_trace": lambda: local_decay_trace(psi1, h, (1.0, 8.0), mu=0.6,
-                                                       T=10.0, dt=0.05),
+                                                       T=10.0, dt=0.05,
+                                                       table=free_threshold_table()),
         "minimal_velocity_trace": lambda: minimal_velocity_trace(
             gaussian_packet(make_grid(2, 64, 8.0), 0.0, (2.0, 2.0), 1.0),
             HamiltonianSpec(free_symbol(), ()), (0.5, 1.5), CutoffSpec(delta=0.2, eps=0.1),
-            T=10.0, dt=0.05, theta=0.5, skip_filter=True),
+            T=10.0, dt=0.05, table=free_threshold_table(), skip_filter=True),
     }
     with pytest.raises(BoundaryBreachError) as err:
         runs[caller]()
     assert 0.0 < err.value.time < 10.0
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("filtered or stepped before the arguments were checked")
+def _time_callers(dt=0.05, T=2.0, schedule=(2.0, 4.0)):
+    """Every stepping entry point on a small grid, each on a window its table
+    clears, so that a bad time argument is the call's one fault."""
+    h = HamiltonianSpec(quadratic_symbol(1.0), ((poschl_teller(2.0, 1.0), "internal"),))
+    psi1 = gaussian_packet(make_grid(1, 64, 16.0), 0.0, 0.5, 2.0)
+    psi2 = gaussian_packet(make_grid(2, 32, 16.0), 0.0, (0.5, 0.5), 2.0)
+    model, cut, window = default_model(), CutoffSpec(delta=0.2, eps=0.05), (-0.45, -0.15)
+    table, free = threshold_table(model, make_grid(1, 64, 16.0)), free_threshold_table()
+    return {
+        "evolve": lambda: evolve(psi1, PropagatorSpec(h, dt=dt), T=T),
+        "local_decay_trace": lambda: local_decay_trace(psi1, h, (0.5, 1.5), mu=0.6, T=T,
+                                                       dt=dt, table=free),
+        "minimal_velocity_trace": lambda: minimal_velocity_trace(
+            psi2, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5), cut, T=T, dt=dt, table=free),
+        "completeness_defect": lambda: completeness_defect(psi2, model, window, cut, schedule,
+                                                           dt=dt, table=table),
+        "wave_operator_approx": lambda: wave_operator_approx(
+            ClusterId.PHOTON_FREE, psi2, model, window, cut, t=schedule[-1], dt=dt,
+            table=table),
+        "wave_operator_cauchy": lambda: wave_operator_cauchy(
+            ClusterId.PHOTON_FREE, psi2, model, window, cut, schedule, dt=dt, table=table),
+    }
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.05, np.nan], ids=["zero", "negative", "nan"])
@@ -322,31 +362,47 @@ def test_every_stepping_caller_rejects_a_bad_time_step(monkeypatch, caller, dt):
     # a negative dt would march backward, zero divides and NaN never ends a block
     monkeypatch.setattr(_Stepper, "step", _refuse)
     monkeypatch.setattr(propagation, "spectral_filter", _refuse)
-    h = HamiltonianSpec(quadratic_symbol(1.0), ((poschl_teller(2.0, 1.0), "internal"),))
-    psi1 = gaussian_packet(make_grid(1, 64, 16.0), 0.0, 0.5, 2.0)
-    psi2 = gaussian_packet(make_grid(2, 32, 16.0), 0.0, (0.5, 0.5), 2.0)
-    model, cut, window = default_model(), CutoffSpec(delta=0.2, eps=0.05), (-0.8, -0.6)
-    calls = {
-        "evolve": lambda: evolve(psi1, PropagatorSpec(h, dt=dt), T=1.0),
-        "local_decay_trace": lambda: local_decay_trace(psi1, h, (0.5, 1.5), mu=0.6, T=2.0,
-                                                       dt=dt),
-        "minimal_velocity_trace": lambda: minimal_velocity_trace(
-            psi2, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5), cut, T=2.0, dt=dt,
-            theta=0.5),
-        "completeness_defect": lambda: completeness_defect(psi2, model, window, cut,
-                                                           (2.0, 4.0), dt=dt),
-        "wave_operator_approx": lambda: wave_operator_approx(
-            ClusterId.PHOTON_FREE, psi2, model, window, cut, t=2.0, dt=dt),
-        "wave_operator_cauchy": lambda: wave_operator_cauchy(
-            ClusterId.PHOTON_FREE, psi2, model, window, cut, (2.0, 4.0), dt=dt),
-    }
     with pytest.raises(GridError, match="dt must be finite and positive"):
-        calls[caller]()
+        _time_callers(dt=dt)[caller]()
 
 
-def test_evolve_rejects_a_negative_horizon(monkeypatch):
+@pytest.mark.parametrize("T", [-1.0, np.inf, np.nan], ids=["negative", "inf", "nan"])
+@pytest.mark.parametrize("caller", ["evolve", "local_decay_trace", "minimal_velocity_trace"])
+def test_every_horizon_caller_rejects_a_bad_horizon(monkeypatch, caller, T):
+    # an infinite horizon overflowed the step count or never ended the sample
+    # loop; a negative one filtered and marched forward before failing.  The
+    # filter refuses, so a missing check stops the minimal-velocity run early.
     monkeypatch.setattr(_Stepper, "step", _refuse)
-    psi = gaussian_packet(make_grid(1, 64, 16.0), 0.0, 0.5, 2.0)
-    with pytest.raises(GridError, match="T >= 0"):
-        evolve(psi, PropagatorSpec(HamiltonianSpec(quadratic_symbol(1.0), ()), dt=0.05), T=-1.0)
+    monkeypatch.setattr(propagation, "spectral_filter", _refuse)
+    if caller != "minimal_velocity_trace":
+        error, match = GridError, "need a finite horizon T >= 0"
+    elif T < 0:
+        error, match = HypothesisError, "T = -1.0 < 1"
+    else:
+        error, match = GridError, "times must be finite"
+    with pytest.raises(error, match=match):
+        _time_callers(T=T)[caller]()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("caller", ["completeness_defect", "wave_operator_approx",
+                                    "wave_operator_cauchy"])
+def test_every_schedule_caller_rejects_a_time_that_is_not_finite(monkeypatch, caller, bad):
+    monkeypatch.setattr(_Stepper, "step", _refuse)
+    monkeypatch.setattr(propagation, "spectral_filter", _refuse)
+    with pytest.raises(GridError, match="times must be finite"):
+        _time_callers(schedule=(2.0, bad))[caller]()
+
+
+@pytest.mark.parametrize("interval", [0.0, -1.0, np.inf, np.nan],
+                         ids=["zero", "negative", "inf", "nan"])
+def test_minimal_velocity_rejects_a_bad_sample_interval(monkeypatch, interval):
+    # a sample interval <= 0 never ended the sample loop
+    monkeypatch.setattr(_Stepper, "step", _refuse)
+    monkeypatch.setattr(propagation, "spectral_filter", _refuse)
+    psi = gaussian_packet(make_grid(2, 32, 16.0), 0.0, (0.5, 0.5), 2.0)
+    with pytest.raises(GridError, match="sample_interval must be finite and positive"):
+        minimal_velocity_trace(psi, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5),
+                               CutoffSpec(delta=0.2, eps=0.05), T=2.0, dt=0.05,
+                               table=free_threshold_table(), sample_interval=interval)
 
