@@ -34,7 +34,7 @@ print(f"virial on the bound state at {res.eigenvalues[0]:+.6f}: form = {form:.2e
 # 2. path independence: quadratic form vs closed-form commutator
 rng = np.random.default_rng(0)
 psi = admissible_random_state(grid1, rng, (2.2,))
-lhs = psi.inner(analytic_commutator_apply(psi, "subsystem:(xy)(0)", model)).real
+lhs = psi.inner(analytic_commutator_apply(psi, ClusterId.PAIR_FREE, model)).real
 rhs = commutator_form(psi, model.subsystem(ClusterId.PAIR_FREE))
 print(f"closed-form route {lhs:.10f} vs form route {rhs:.10f} "
       f"(diff {abs(lhs-rhs):.2e})")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import os
 import sys
@@ -24,7 +25,8 @@ import numpy as np
 from . import experiments as xp
 from . import io as sio
 from .clusters import ClusterId, TWO_CLUSTERS
-from .errors import ChecksSkippedError, ConfigError, GridError, PotentialError, ScatterError
+from .errors import (ChecksSkippedError, ConfigError, GridError, HypothesisError,
+                     PotentialError, ScatterError)
 from .lattice import GridSpec, WaveFunction, make_grid, gaussian_packet, write_wavefunction
 from .model import ThreeBodyModel
 from .operators import PotentialSpec
@@ -32,21 +34,20 @@ from .propagation import (
     DEFAULT_BOUNDARY_LIMIT,
     CutoffSpec,
     PropagatorSpec,
+    channel_schedule,
     completeness_defect,
     evolve,
+    horizon_steps,
     local_decay_trace,
     minimal_velocity_trace,
-    require_finite_times,
-    require_horizon,
+    require_decay_weight,
     require_time_step,
+    velocity_sample_times,
 )
-from .commutators import mourre_report
+from .commutators import mourre_report, require_sample_count
 from .partition import build_partition, verify_partition, DEFAULT_SMOOTHING_WIDTH
 from .spectral import (DENSE_LIMIT, dense_spectrum, dispersion_scan, iterative_lowest,
                        threshold_table)
-
-EXPERIMENTS = ("spectrum", "dispersion", "thresholds", "mourre", "partition",
-               "evolve", "local-decay", "min-velocity", "channels", "verify-all")
 
 CLAIMS = {
     "spectrum": "subsystem bound-state energies from the dense grid oracle",
@@ -60,6 +61,8 @@ CLAIMS = {
     "channels": "channel decomposition defect of the evolved state",
     "verify-all": "the full acceptance suite",
 }
+
+EXPERIMENTS = tuple(CLAIMS)
 
 # allowed keys per config section
 _SCHEMA = {
@@ -181,28 +184,33 @@ def _model_on_grid(cp, experiment: str) -> tuple[ThreeBodyModel, GridSpec]:
 
 def parse_cutoffs(cp) -> CutoffSpec:
     _require_section(cp, "cutoffs")
-    return CutoffSpec(
-        delta=_get(cp, "cutoffs", "delta", float, required=True),
-        eps=_get(cp, "cutoffs", "eps", float, required=True),
-        smoothing_fraction=_get(cp, "cutoffs", "smoothing", float, default=0.1),
-    )
+    try:
+        return CutoffSpec(
+            delta=_get(cp, "cutoffs", "delta", float, required=True),
+            eps=_get(cp, "cutoffs", "eps", float, required=True),
+            smoothing_fraction=_get(cp, "cutoffs", "smoothing", float, default=0.1),
+        )
+    except HypothesisError as exc:
+        raise ConfigError(f"[cutoffs] {exc}") from exc
 
 
-def _schedule_key(cp, key: str, cast, check):
-    """The required [schedule] ``key``, read with ``cast`` and passed through the
-    library's time ``check``, whose :class:`GridError` becomes :class:`ConfigError`."""
-    _require_section(cp, "schedule")
-    value = _get(cp, "schedule", key, cast, required=True)
+def _checked(cp, section: str, key: str, cast, check, default=None):
+    """[section] ``key``, read with ``cast`` (required unless it has a ``default``)
+    and passed through the library's own up-front ``check``, whose
+    :class:`GridError` or :class:`HypothesisError` becomes :class:`ConfigError`."""
+    if default is None:
+        _require_section(cp, section)
+    value = _get(cp, section, key, cast, default=default, required=default is None)
     try:
         check(value)
-    except GridError as exc:
-        raise ConfigError(f"[schedule] {exc}") from exc
+    except (GridError, HypothesisError) as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
     return value
 
 
 def parse_schedule(cp) -> tuple[float, float]:
     """[schedule] dt and boundary_limit, shared by the four dynamical experiments."""
-    dt = _schedule_key(cp, "dt", float, require_time_step)
+    dt = _checked(cp, "schedule", "dt", float, require_time_step)
     return dt, _get(cp, "schedule", "boundary_limit", float, default=DEFAULT_BOUNDARY_LIMIT)
 
 
@@ -255,6 +263,10 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
     if experiment == "spectrum":
         model, grid = _model_on_grid(cp, experiment)
         count = _get(cp, "window", "count", int, default=6)
+        # dense_spectrum solves up to every site, iterative_lowest up to all but two
+        limit = grid.size if grid.size <= DENSE_LIMIT else grid.size - 2
+        if not 1 <= count <= limit:
+            raise ConfigError(f"[window] count = {count} must lie in [1, {limit}]")
         for a in TWO_CLUSTERS:
             h = model.subsystem(a)
             res = (dense_spectrum(h, grid, count) if grid.size <= DENSE_LIMIT
@@ -279,7 +291,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         model, grid = _model_on_grid(cp, experiment)
         window = parse_window(cp)
         energy = _get(cp, "window", "energy", float, required=True)
-        samples = _get(cp, "window", "samples", int, default=20)
+        samples = _checked(cp, "window", "samples", int, require_sample_count, default=20)
         table = threshold_table(model, make_grid(*xp.THRESHOLD_GRID))
         boundary_tol = _get(cp, "window", "boundary_tol", float, default=5e-2)
         report = mourre_report(energy, window, model, grid, table,
@@ -316,7 +328,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
     elif experiment == "evolve":
         model, grid = _model_on_grid(cp, experiment)
         dt, limit = parse_schedule(cp)
-        horizon = _schedule_key(cp, "horizon", float, require_horizon)
+        horizon = _checked(cp, "schedule", "horizon", float, lambda T: horizon_steps(T, dt))
         psi0 = _packet(cp, grid, 2.0, _get(cp, "packet", "momentum", str, default="0"))
         ham = _evolution_hamiltonian(model, grid)
         final, traces = evolve(psi0, PropagatorSpec(ham, dt=dt), horizon,
@@ -334,27 +346,26 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         window = parse_window(cp)
         dt, limit = parse_schedule(cp)
         psi0 = _packet(cp, grid, 6.0)
-        if experiment == "channels":
-            times = _schedule_key(cp, "times", _float_list, require_finite_times)
-        else:
-            horizon = _schedule_key(cp, "horizon", float, require_horizon)
-        table = threshold_table(model, make_grid(*xp.THRESHOLD_GRID))
+        # every time and range is checked before the threshold solves and the filter
         if experiment == "local-decay":
-            mu = _get(cp, "window", "mu", float, default=0.6)
-            series = local_decay_trace(psi0, _evolution_hamiltonian(model, grid),
-                                       window, mu=mu, T=horizon, dt=dt, table=table,
-                                       filter_transition=0.25, boundary_limit=limit)
+            trace = functools.partial(
+                local_decay_trace, psi0, _evolution_hamiltonian(model, grid), window,
+                T=_checked(cp, "schedule", "horizon", float, lambda T: horizon_steps(T, dt)),
+                mu=_checked(cp, "window", "mu", float, require_decay_weight, default=0.6))
         elif experiment == "min-velocity":
-            cutoffs = parse_cutoffs(cp)
-            series = minimal_velocity_trace(psi0, model.full(), window, cutoffs,
-                                            T=horizon, dt=dt, table=table,
-                                            filter_transition=0.25,
-                                            boundary_limit=limit)
+            # the trace samples once per unit time, its default sample interval
+            trace = functools.partial(
+                minimal_velocity_trace, psi0, model.full(), window,
+                T=_checked(cp, "schedule", "horizon", float,
+                           lambda T: velocity_sample_times(T, 1.0, dt)),
+                cutoffs=parse_cutoffs(cp))
         else:
-            cutoffs = parse_cutoffs(cp)
-            series = completeness_defect(psi0, model, window, cutoffs, times, dt=dt,
-                                         table=table, filter_transition=0.25,
-                                         boundary_limit=limit)
+            times = _checked(cp, "schedule", "times", _float_list,
+                             lambda ts: channel_schedule(ts, dt))
+            trace = functools.partial(completeness_defect, psi0, model, window,
+                                      parse_cutoffs(cp), times)
+        series = trace(dt=dt, table=threshold_table(model, make_grid(*xp.THRESHOLD_GRID)),
+                       filter_transition=0.25, boundary_limit=limit)
         sio.write_csv(out(""), ("t", series.label), list(zip(series.times, series.values)))
         sio.write_sidecar(out("meta", "txt"),
                           {**series.metadata, "seed": seed, "experiment": experiment})

@@ -6,8 +6,10 @@ the position factor pointwise.  The commutator [H, iA] is never assembled as
 a matrix; its quadratic form is evaluated from two inner products, and the
 closed-form right-hand sides of the first and second commutators are applied
 directly as multiplier plus multiplication operators for cross-checking.
-Those closed forms are read from one hand-written row per 2-cluster; one
-FFT helper applies every momentum multiplier, the dilation's included.
+They are addressed by cluster: ``ClusterId.TOGETHER`` for [H, iA] on the
+two-particle grid, a 2-cluster for the fiber of [H_a, iA] at external
+momentum s, read from one hand-written row per 2-cluster.  One FFT helper
+applies every momentum multiplier, the dilation's included.
 
 Position weights on a periodic lattice see the sawtooth jump at the box edge,
 so every X-weighted operation requires the state to be concentrated away from
@@ -47,8 +49,8 @@ DEFAULT_BOUNDARY_TOL = 1e-8
 # potential V_a(u), the first-commutator multiplier m1(q, s) at external
 # momentum s, the second-commutator multiplier m2(q), and the constant c(s)
 # that the external coordinate adds to the fiber.  Written out by hand, not
-# derived from model.subsystem/model.reduced: they are the oracle that those
-# Hamiltonians' lattice commutators are checked against.  V23 acts on the
+# derived from model.reduced: they are the oracle that the fibers' (and so
+# the subsystems') lattice commutators are checked against.  V23 acts on the
 # (xy)(0) coordinate u as V23(2u), and the singular mode q = s of sign(q - s)
 # takes the mean of its one-sided limits (numpy's sign at zero).  c(0) = 0 and
 # q sign(q) = |q|, so s = 0 gives the internal commutators [h_a, i A^a].
@@ -109,45 +111,32 @@ def commutator_form(wf: WaveFunction, ham: HamiltonianSpec,
     return -2.0 * hpsi.inner(apsi).imag
 
 
-def analytic_commutator_apply(wf: WaveFunction, which: str, model: ThreeBodyModel,
-                              s: float | None = None) -> WaveFunction:
-    """Apply the closed-form first-commutator operator named by ``which``.
+def analytic_commutator_apply(wf: WaveFunction, cluster: ClusterId, model: ThreeBodyModel,
+                              s: float = 0.0) -> WaveFunction:
+    """Apply the closed-form first commutator of ``cluster``'s Hamiltonian.
 
-    Two-particle formulas ("free", "full") use the two-particle A:
-    2 p^2 + |k| minus the sum of x^a . grad I^a terms.  One-particle
-    "subsystem:a" formulas are the internal commutators [h_a, i A^a]; the
-    "fibered:a" formulas are the fibers of [H_a, iA] at external momentum s,
-    m1(q, s) - u V_a'(u) + c(s) with the row of :data:`_CLOSED_FORMS`, and
-    "subsystem:a" is "fibered:a" at s = 0.
+    ``ClusterId.TOGETHER`` on the two-particle grid gives [H, iA] with the
+    two-particle A: 2 p^2 + |k| minus the sum of x^a . grad I^a terms (with
+    :func:`~scatterlab.model.free_model`, the free 2 p^2 + |k|).  A 2-cluster
+    on a one-particle grid gives the fiber of [H_a, iA] at external momentum
+    s, m1(q, s) - u V_a'(u) + c(s) with the row of :data:`_CLOSED_FORMS`; at
+    s = 0 that is the internal commutator [h_a, i A^a].
     """
     grid = wf.grid
-    if which in ("free", "full"):
+    if cluster is ClusterId.TOGETHER:
         if grid.particles != 2:
-            raise ClusterError(f"the {which} formula lives on the two-particle grid")
+            raise ClusterError(f"the {cluster} formula lives on the two-particle grid")
         p, k = grid.momentum_mesh()
-        out = _in_momentum(wf.values, 2.0 * p ** 2 + np.abs(k))
-        if which == "full":
-            fld = functools.reduce(np.add, (
-                pot.virial_field(coordinate_field(grid, tag))
-                for pot, tag in ((model.v12, "x"), (model.v13, "y"), (model.v23, "x-y"))))
-            out = out - fld * wf.values
-        return WaveFunction(grid, out)
+        fld = functools.reduce(np.add, (
+            pot.virial_field(coordinate_field(grid, tag))
+            for pot, tag in ((model.v12, "x"), (model.v13, "y"), (model.v23, "x-y"))))
+        return WaveFunction(grid, _in_momentum(wf.values, 2.0 * p ** 2 + np.abs(k))
+                            - fld * wf.values)
 
-    try:
-        kind, name = which.split(":")
-        a = ClusterId(name)
-    except ValueError as exc:
-        raise ClusterError(f"unknown commutator formula {which!r}") from exc
-    if kind not in ("subsystem", "fibered"):
-        raise ClusterError(f"unknown commutator formula {which!r}")
-    require_two_cluster(a)
+    require_two_cluster(cluster)
     if grid.particles != 1:
-        raise ClusterError("subsystem and fibered formulas live on one-particle grids")
-    if kind == "subsystem":
-        s = 0.0
-    elif s is None:
-        raise ClusterError("fibered formulas need the external momentum s")
-    potential, m1, _, c = _CLOSED_FORMS[a]
+        raise ClusterError("2-cluster formulas live on one-particle grids")
+    potential, m1, _, c = _CLOSED_FORMS[cluster]
     fld = potential(model).virial_field(grid.position_mesh()[0])
     out = _in_momentum(wf.values, m1(grid.momentum_mesh()[0], s)) - fld * wf.values
     const = c(s)
@@ -250,6 +239,12 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
+def require_sample_count(samples: int) -> None:
+    """Raise :class:`HypothesisError` unless a report draws at least one sample."""
+    if samples < 1:
+        raise HypothesisError("samples must be >= 1")
+
+
 def mourre_report(E: float, window: tuple[float, float], model: ThreeBodyModel,
                   grid: GridSpec, table: ThresholdTable, samples: int = 20,
                   seed: int = 0, deflation_count: int = 24,
@@ -262,8 +257,7 @@ def mourre_report(E: float, window: tuple[float, float], model: ThreeBodyModel,
     unit-norm survivor is compared against the predicted bound
     d(E) - epsilon, epsilon = d(E)/10.
     """
-    if samples < 1:
-        raise HypothesisError("samples must be >= 1")
+    require_sample_count(samples)
     e_lo, e_hi = float(window[0]), float(window[1])
     if not e_lo < E < e_hi:
         raise HypothesisError("E must lie inside the window")

@@ -403,9 +403,9 @@ def check_commutator_paths(seed):
     worst = 0.0
     passed = True
 
-    def compare(which, psi, partner, s=None):
+    def compare(label, psi, partner, cluster, mdl=model, s=None):
         nonlocal worst, passed
-        applied = analytic_commutator_apply(psi, which, model, s=s)
+        applied = analytic_commutator_apply(psi, cluster, mdl, 0.0 if s is None else s)
         val = psi.inner(applied)
         # reality of the form: the closed-form operator is Hermitian
         if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
@@ -415,16 +415,15 @@ def check_commutator_paths(seed):
         worst = max(worst, diff / scale)
         ok = diff <= 1e-7 * scale
         passed = passed and ok
-        rows.append((which, "" if s is None else s, val.real, partner, diff, ok))
+        rows.append((label, "" if s is None else s, val.real, partner, diff, ok))
 
-    h_free = HamiltonianSpec(free_symbol(), ())
-    h_full = model.full()
+    free, h_free, h_full = free_model(), HamiltonianSpec(free_symbol(), ()), model.full()
     for _ in range(100):  # states per formula
         kc_p = rng.uniform(1.0, 2.0) * rng.choice((-1.0, 1.0))
         kc_k = rng.uniform(2.0, 2.5) * rng.choice((-1.0, 1.0))
         psi2 = admissible_random_state(grid2, rng, (kc_p, kc_k))
-        compare("free", psi2, commutator_form(psi2, h_free))
-        compare("full", psi2, commutator_form(psi2, h_full))
+        compare("free", psi2, commutator_form(psi2, h_free), ClusterId.TOGETHER, free)
+        compare("full", psi2, commutator_form(psi2, h_full), ClusterId.TOGETHER)
 
         kc = rng.uniform(2.0, 2.5) * rng.choice((-1.0, 1.0))
         psi1 = admissible_random_state(grid1, rng, (kc,))
@@ -432,10 +431,10 @@ def check_commutator_paths(seed):
         psi_pair = admissible_random_state(grid_pair, rng_pair, (kc,))
         for a in TWO_CLUSTERS:
             psi = psi_pair if a is ClusterId.PAIR_FREE else psi1
-            compare(f"subsystem:{a.value}", psi, commutator_form(psi, model.subsystem(a)))
+            compare(f"subsystem:{a.value}", psi, commutator_form(psi, model.subsystem(a)), a)
             fib = commutator_form(psi, model.reduced(a, s))
             compare(f"fibered:{a.value}", psi,
-                    fib + _fibered_external_constant(a, s), s=s)
+                    fib + _fibered_external_constant(a, s), a, s=s)
     return (passed, {"worst_rel_diff": worst, "comparisons": len(rows)},
             (("formula", "s", "analytic_form", "two_inner_products", "abs_diff", "ok"), rows))
 

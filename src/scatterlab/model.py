@@ -2,9 +2,10 @@
 
 The full Hamiltonian on the two-particle grid is ``p^2 + |k| + V12(x) +
 V13(y) + V23(x-y)``.  Truncated Hamiltonians keep only the potentials
-internal to a cluster decomposition; subsystem Hamiltonians are their
-one-particle internal parts; reduced Hamiltonians are the fibers of the
-truncated ones at fixed external momentum s.
+internal to a cluster decomposition; reduced Hamiltonians are their fibers
+H_a(s) at fixed external momentum s.  With the photon's |k| a cluster
+Hamiltonian does not split into internal plus external parts, so the
+subsystem Hamiltonian is the fiber at rest, h_a = H_a(0).
 
 The (xy)(0) fibers are written in q = p - k and s = p + k, which are
 conjugate to u = (x - y)/2 and (x + y)/2.  Their one-particle grid
@@ -72,21 +73,8 @@ class ThreeBodyModel:
         )
 
     def subsystem(self, a: ClusterId) -> HamiltonianSpec:
-        """h_a on the one-particle internal grid.
-
-        (y)(x0): p^2 + V12;  (x)(y0): |k| + V13;
-        (xy)(0): (1/4) q^2 + (1/2)|q| + V23(2u), q = p - k the internal
-        momentum and u = (x - y)/2 its conjugate grid coordinate.
-        """
-        require_two_cluster(a)
-        if a is ClusterId.PHOTON_FREE:
-            return HamiltonianSpec(quadratic_symbol(1.0), ((self.v12, "internal"),))
-        if a is ClusterId.ELECTRON_FREE:
-            return HamiltonianSpec(absolute_symbol(1.0), ((self.v13, "internal"),))
-        return HamiltonianSpec(
-            quadratic_symbol(0.25) + absolute_symbol(0.5),
-            ((self.pair_potential(), "internal"),),
-        )
+        """h_a = H_a(0): p^2 + V12, |k| + V13 and (1/4) q^2 + (1/2)|q| + V23(2u)."""
+        return self.reduced(a, 0.0)
 
     def reduced(self, a: ClusterId, s: float) -> HamiltonianSpec:
         """The fiber H_a(s) of the truncated Hamiltonian at external momentum s.

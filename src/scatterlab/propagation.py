@@ -72,6 +72,12 @@ def require_finite_times(times) -> None:
         raise GridError(f"times must be finite, got {list(times)}")
 
 
+def require_decay_weight(mu: float) -> None:
+    """Raise :class:`HypothesisError` unless the local decay weight <X>^(-mu) has mu > 1/2."""
+    if not mu > 0.5:
+        raise HypothesisError("local decay weight needs mu > 1/2")
+
+
 @dataclass(frozen=True)
 class PropagatorSpec:
     """Strang-split propagator parameters for a fixed Hamiltonian."""
@@ -93,26 +99,74 @@ def _steps_for(duration: float, dt: float) -> int:
     return steps
 
 
+def _blocks(start: float, times, dt: float) -> list[int]:
+    """Steps of dt from ``start`` through each of the monotone ``times`` in turn;
+    :class:`GridError` unless every block is a whole number of steps."""
+    return [_steps_for(abs(t - prev), dt) for prev, t in zip([start, *times], times)]
+
+
+def horizon_steps(T: float, dt: float) -> int:
+    """Steps of dt to the horizon T; :class:`GridError` unless T is finite, >= 0
+    and a whole number of steps."""
+    require_horizon(T)
+    return _steps_for(T, dt)
+
+
 def _sample_times(T: float, steps_per_sample: int, dt: float) -> list[float]:
     """Times ``e dt`` after every ``steps_per_sample`` steps of dt and at T."""
-    steps = _steps_for(T, dt)
+    steps = horizon_steps(T, dt)
     ends = [*range(steps_per_sample, steps, steps_per_sample), steps] if steps else []
     return [end * dt for end in ends]
+
+
+def velocity_sample_times(T: float, sample_interval: float, dt: float) -> list[float]:
+    """The minimal-velocity samples 1, 1 + ``sample_interval``, ... up to T >= 1,
+    each march block checked to be a whole number of steps of dt."""
+    require_finite_times((T,))
+    if not T >= 1.0:
+        raise HypothesisError(f"the minimal velocity trace runs over [1, T]; T = {T} < 1")
+    if not 0.0 < sample_interval < np.inf:
+        raise GridError(f"sample_interval must be finite and positive, got {sample_interval}")
+    times = [1.0]
+    while times[-1] + sample_interval <= T + 1e-9:
+        times.append(round(times[-1] + sample_interval, 9))
+    _blocks(0.0, times, dt)
+    return times
+
+
+def channel_schedule(times, dt: float) -> list[float]:
+    """The channel construction's ``times``, ascending, checked before any filter.
+
+    Each time must be finite, distinct and >= 1, where the channel cutoffs are
+    defined, and every march the construction makes, forward through the
+    times and back from each of them, a whole number of steps of dt.
+    """
+    require_time_step(dt)
+    require_finite_times(times)
+    times = sorted(float(t) for t in np.atleast_1d(times))
+    if not times or times[0] < 1.0:
+        raise HypothesisError("schedule times must be >= 1")
+    if np.any(np.diff(times) <= 0):
+        raise GridError("trace times must be strictly increasing")
+    _blocks(0.0, times, dt)
+    for t in times:
+        _steps_for(t, dt)
+    return times
 
 
 def _march(values: np.ndarray, stepper: _Stepper, start: float, times,
            boundary_limit: float, sample, reference: float | None = None) -> np.ndarray:
     """The one stepping loop: from ``start`` through the monotone list ``times``.
 
-    Each block takes ``_steps_for(|t - t_prev|, |z|)`` steps, all counted up
-    front.  After each block ``sample(t, values)`` runs, then the breach guard
-    raises :class:`BoundaryBreachError` if the mass in the outer tenth of the
-    box exceeds ``boundary_limit`` times ``reference``, a squared-norm scale:
-    by default the initial state's, so runs on near-annihilated states (empty
+    Each block takes the steps of |z| that :func:`_blocks` counts; every
+    caller counts them before it filters or steps, so a bad time fails early.
+    After each block ``sample(t, values)`` runs, then the breach guard raises
+    :class:`BoundaryBreachError` if the mass in the outer tenth of the box
+    exceeds ``boundary_limit`` times ``reference``, a squared-norm scale: by
+    default the initial state's, so runs on near-annihilated states (empty
     windows) do not trip on their own ripple.  Returns the final amplitudes.
     """
-    dt = abs(stepper.z)
-    blocks = [_steps_for(abs(t - prev), dt) for prev, t in zip([start] + times, times)]
+    blocks = _blocks(start, times, abs(stepper.z))
     shell = stepper.grid.shell_mask(BOUNDARY_SHELL_FRACTION)
     if reference is None:
         reference = float(np.sum(np.abs(values) ** 2))
@@ -152,7 +206,7 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
     reaches the outer tenth of the box, returning the partial traces on the
     exception.
     """
-    require_horizon(T)
+    sample_times = _sample_times(T, prop.steps_per_sample, prop.dt)
     grid = wf.grid
     op = GridOperator(prop.ham, grid)
     stepper = _Stepper(op, 1j * prop.dt)
@@ -179,9 +233,7 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
 
     record(0.0, wf.values)
     try:
-        values = _march(wf.values, stepper, 0.0,
-                        _sample_times(T, prop.steps_per_sample, prop.dt),
-                        boundary_limit, record)
+        values = _march(wf.values, stepper, 0.0, sample_times, boundary_limit, record)
     except BoundaryBreachError as exc:
         exc.partial_traces = {
             name: TraceSeries(np.array(times), np.array(vals), name)
@@ -265,9 +317,9 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
     and none of the ``known_eigenvalues``.
     """
     require_time_step(dt)
-    require_horizon(T)
-    if not mu > 0.5:
-        raise HypothesisError("local decay weight needs mu > 1/2")
+    steps_per_sample = max(1, int(round(0.25 / dt)))
+    sample_times = _sample_times(T, steps_per_sample, dt)
+    require_decay_weight(mu)
     table.require_clear(window)
     for lam in known_eigenvalues:
         if window[0] <= lam <= window[1]:
@@ -278,7 +330,6 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
     psi = _unit_filtered(psi0, ham, window, filter_transition)
 
     weight_sq = (1.0 + grid.radius_sq()) ** (-mu)
-    steps_per_sample = max(1, int(round(0.25 / dt)))
     stepper = _Stepper(GridOperator(ham, grid), 1j * dt)
     times, w = [], []
 
@@ -287,8 +338,7 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
         w.append(float(grid.measure * np.sum(weight_sq * np.abs(values) ** 2)))
 
     sample(0.0, psi.values)
-    _march(psi.values, stepper, 0.0, _sample_times(T, steps_per_sample, dt),
-           boundary_limit, sample)
+    _march(psi.values, stepper, 0.0, sample_times, boundary_limit, sample)
     times = np.array(times)
     w = np.array(w)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(times))])
@@ -312,11 +362,7 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
     The trace samples every ``sample_interval`` over t in [1, T], so T >= 1.
     """
     require_time_step(dt)
-    require_finite_times((T,))
-    if not T >= 1.0:
-        raise HypothesisError(f"the minimal velocity trace runs over [1, T]; T = {T} < 1")
-    if not 0.0 < sample_interval < np.inf:
-        raise GridError(f"sample_interval must be finite and positive, got {sample_interval}")
+    sample_times = velocity_sample_times(T, sample_interval, dt)
     table.require_clear(window)
     theta = distance_to_threshold(window[0], table)
     if cutoffs.delta >= theta:
@@ -325,10 +371,6 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
             f"theta = {theta} for the window")
     grid = psi0.grid
     psi = _unit_filtered(psi0, ham, window, filter_transition, skip_filter)
-
-    sample_times = [1.0]
-    while sample_times[-1] + sample_interval <= T + 1e-9:
-        sample_times.append(round(sample_times[-1] + sample_interval, 9))
     vals = []
 
     def sample(t, values):
@@ -351,8 +393,7 @@ def _filtered_forward(psi0: WaveFunction, model: ThreeBodyModel, window, times, 
     and ``states[t]`` = e^{-itH} psi at the monotone ``times``, from one march.
     ``states`` is None when ``psi`` is at most 1e-7 ||psi0||: the window misses
     the spectrum, and evolving ripple would only propagate roundoff."""
-    require_time_step(dt)
-    require_finite_times(times)
+    channel_schedule(times, dt)
     if not window[1] < 0:
         raise SpectralWindowError("the channel construction runs at negative energies")
     table.require_clear(window)
@@ -425,7 +466,7 @@ def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
     march serve every time; each phi_a(t) is bit for bit
     :func:`wave_operator_approx` at t, with the same window checks.
     """
-    schedule = sorted(float(t) for t in np.atleast_1d(schedule))
+    schedule = channel_schedule(schedule, dt)
     if len(schedule) < 2:
         raise HypothesisError("the stabilization trace needs at least two times")
     phis = _approximants(a, psi0, model, window, cutoffs, schedule, dt, table, 1e-6,
@@ -449,9 +490,7 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
     from the filtered initial state first.  The window must be negative and
     hold no threshold of ``table``.
     """
-    schedule = sorted(float(t) for t in np.atleast_1d(schedule))
-    if not schedule or schedule[0] < 1.0:
-        raise HypothesisError("schedule times must be >= 1")
+    schedule = channel_schedule(schedule, dt)
     psi, forward = _filtered_forward(psi0, model, window, schedule, dt, table, filter_ripple,
                                      filter_transition, boundary_limit, deflate_eigenvectors)
     filtered_norm = psi.norm()

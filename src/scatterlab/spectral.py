@@ -353,11 +353,18 @@ def spectral_filter(wf: WaveFunction, ham: HamiltonianSpec, window: tuple[float,
     ``target_ripple``.  Windows entirely above the operator range are
     rejected; windows below it are legitimate and simply annihilate.  The
     filter kernel spreads over a position scale of order 1/width, which must
-    fit inside the box.
+    fit inside the box.  A ripple outside (0, 1) or a transition fraction
+    that is not finite and positive raises :class:`SpectralWindowError`
+    before H is applied.
     """
     e_lo, e_hi = float(window[0]), float(window[1])
     if not e_lo < e_hi:
         raise SpectralWindowError(f"window ({e_lo}, {e_hi}) is empty")
+    if not 0.0 < target_ripple < 1.0:
+        raise SpectralWindowError(f"target_ripple must lie in (0, 1), got {target_ripple}")
+    if not 0.0 < transition_fraction < np.inf:
+        raise SpectralWindowError(
+            f"transition_fraction must be finite and positive, got {transition_fraction}")
     op = GridOperator(ham, wf.grid)
     lo_op, hi_op = op.bounds()
     if e_lo > hi_op:

@@ -12,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scatterlab import experiments as xp
-from scatterlab.cli import (_SCHEMA, EXPERIMENTS, _parse_ini, main, parse_cutoffs,
+from scatterlab import cli
+from scatterlab.cli import (_PARTICLES, _SCHEMA, EXPERIMENTS, _parse_ini, main, parse_cutoffs,
                             parse_grid, parse_model, parse_window, serialize_config)
 from scatterlab.errors import ConfigError, HypothesisError, ScatterError
 from scatterlab.lattice import make_grid
@@ -555,6 +556,57 @@ def test_spectrum_experiment(tmp_path):
     for f in csvs:
         header = (tmp_path / "out" / f).read_text().splitlines()[0]
         assert header == "index,eigenvalue,residual"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("solved or ran before the config was checked")
+
+
+def _with(text, old, new):
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+_CHANNELS, _EVOLVE = ((SHIPPED / f"{name}.ini").read_text() for name in ("channels", "evolve"))
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("channels", _with(_CHANNELS, "times = 2 4 8 16", "times = 2 4.01"),
+     "[schedule] duration 2.01 is not a multiple of dt"),
+    ("channels", _with(_CHANNELS, "times = 2 4 8 16", "times = 2 2 4"),
+     "[schedule] trace times must be strictly increasing"),
+    ("channels", _with(_CHANNELS, "times = 2 4 8 16", "times = 0.5 2"),
+     "[schedule] schedule times must be >= 1"),
+    ("evolve", _with(_EVOLVE, "horizon = 4.0", "horizon = 4.01"),
+     "[schedule] duration 4.01 is not a multiple of dt"),
+    ("local-decay", _with(LOCAL_DECAY_INI, "horizon = 1.0", "horizon = 1.01"),
+     "[schedule] duration 1.01 is not a multiple of dt"),
+    ("min-velocity", _with(MINVEL_INI, "dt = 0.05", "dt = 0.3"),
+     "[schedule] duration 1.0 is not a multiple of dt"),
+    ("spectrum", _with(SPECTRUM_INI, "count = 3", "count = 0"), "[window] count = 0"),
+    ("spectrum", _with(SPECTRUM_INI, "count = 3", "count = 300"), "[window] count = 300"),
+    ("mourre", _with(MOURRE_INI, "samples = 2", "samples = 0"),
+     "[window] samples must be >= 1"),
+    ("min-velocity", _with(MINVEL_INI, "delta = 0.2\neps = 0.1", "delta = 0.01\neps = 0.05"),
+     "[cutoffs] need delta > eps > 0"),
+    ("local-decay", _with(LOCAL_DECAY_INI, "hi = 1.5\n", "hi = 1.5\nmu = 0.3\n"),
+     "[window] local decay weight needs mu > 1/2"),
+], ids=["channels-off-dt", "channels-repeated", "channels-early", "evolve-off-dt",
+        "local-decay-off-dt", "min-velocity-off-dt", "spectrum-count-0", "spectrum-count-300",
+        "mourre-samples-0", "min-velocity-delta", "local-decay-mu"])
+def test_out_of_range_value_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                               name, text, message):
+    # each exited 1, the dynamical ones after the threshold solves and some
+    # after the filter or a march
+    for solver in ("threshold_table", "dense_spectrum", "iterative_lowest", "evolve"):
+        monkeypatch.setattr(cli, solver, _refuse)
+    cfg = _write(tmp_path, text)
+    assert main([name, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_every_experiment_has_a_particle_rule():
+    assert set(_PARTICLES) == set(EXPERIMENTS) - {"verify-all"}
 
 
 def _fake_check(name, outcome):

@@ -86,7 +86,7 @@ def test_form_reality_of_analytic_route():
     rng = np.random.default_rng(5)
     model = default_model()
     psi = admissible_random_state(grid, rng, (2.2,))
-    applied = analytic_commutator_apply(psi, "subsystem:(xy)(0)", model)
+    applied = analytic_commutator_apply(psi, ClusterId.PAIR_FREE, model)
     val = psi.inner(applied)
     assert abs(val.imag) <= 1e-9 * max(1.0, abs(val))
 
@@ -94,7 +94,7 @@ def test_form_reality_of_analytic_route():
 def test_free_formula_reduces_to_multiplier():
     grid = make_grid(2, 64, 16.0)
     psi = gaussian_packet(grid, 0.0, (0.8, 1.1), 2.0)
-    out = analytic_commutator_apply(psi, "free", free_model())
+    out = analytic_commutator_apply(psi, ClusterId.TOGETHER, free_model())
     k = grid.momentum_mesh()
     ref = np.fft.ifftn((2.0 * k[0] ** 2 + np.abs(k[1])) * np.fft.fftn(psi.values))
     assert np.max(np.abs(out.values - ref)) <= 1e-12
@@ -108,7 +108,7 @@ def test_fibered_pair_singular_mode_average():
     x = grid.positions()
     k3 = grid.momenta()[3]
     mode = WaveFunction(grid, np.exp(1j * k3 * x))
-    out = analytic_commutator_apply(mode, "fibered:(xy)(0)", model, s=s)
+    out = analytic_commutator_apply(mode, ClusterId.PAIR_FREE, model, s)
     # on the singular mode the multiplier part reduces to q^2/2 + s q/2 + 0
     expected_multiplier = 0.5 * s ** 2 + 0.5 * s * s
     # V23 acts on the grid coordinate u as V23(2u): the field is 2u V23'(2u)
@@ -117,11 +117,15 @@ def test_fibered_pair_singular_mode_average():
     assert np.max(np.abs(out.values - expected)) <= 1e-10
 
 
-def test_unknown_formula_kind_is_rejected():
-    psi = gaussian_packet(make_grid(1, 64, 8.0), 0.0, 0.0, 1.0)
-    for which in ("fibred:(y)(x0)", "subsystem", "subsystem:(xy0)", "free:(y)(x0)"):
-        with pytest.raises(ClusterError):
-            analytic_commutator_apply(psi, which, default_model(), s=0.3)
+@pytest.mark.parametrize("particles, cluster", [
+    (1, "(y)(x0)"), (1, ClusterId.ALL_FREE), (2, ClusterId.ALL_FREE),
+    (1, ClusterId.TOGETHER), (2, ClusterId.PHOTON_FREE), (2, ClusterId.PAIR_FREE),
+], ids=["not-a-cluster", "all-free-1d", "all-free-2d", "together-1d", "photon-free-2d",
+        "pair-free-2d"])
+def test_commutator_formula_outside_its_grid_is_rejected(particles, cluster):
+    psi = gaussian_packet(make_grid(particles, 32, 8.0), 0.0, (0.0,) * particles, 1.0)
+    with pytest.raises(ClusterError):
+        analytic_commutator_apply(psi, cluster, default_model(), 0.3)
 
 
 def test_second_commutator_free_positive():
@@ -141,7 +145,7 @@ def test_second_commutator_nested_path(a):
     model = default_model()
     psi = admissible_random_state(grid, rng, (2.0,))
     direct = second_commutator_form(psi, a, model)
-    cpsi = analytic_commutator_apply(psi, f"subsystem:{a.value}", model)
+    cpsi = analytic_commutator_apply(psi, a, model)
     nested = -2.0 * cpsi.inner(apply_dilation(psi)).imag
     scale = max(1.0, abs(direct))
     assert abs(direct - nested) <= 1e-6 * scale

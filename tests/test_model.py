@@ -28,14 +28,14 @@ def test_truncated_drops_intercluster():
 
 
 def test_subsystem_symbols():
+    # h_a is the fiber at s = 0: its symbol is the bare internal kinetic energy
     model = default_model()
-    h = model.subsystem(ClusterId.PAIR_FREE)
-    coeffs = {t.kind: t.coefficient for t in h.symbol.terms}
-    assert coeffs == {"quadratic": 0.25, "absolute": 0.5}
-    h = model.subsystem(ClusterId.PHOTON_FREE)
-    assert [t.kind for t in h.symbol.terms] == ["quadratic"]
-    h = model.subsystem(ClusterId.ELECTRON_FREE)
-    assert [t.kind for t in h.symbol.terms] == ["absolute"]
+    grid = make_grid(1, 64, 8.0)
+    q = grid.momenta()
+    expected = {ClusterId.PHOTON_FREE: q ** 2, ClusterId.ELECTRON_FREE: np.abs(q),
+                ClusterId.PAIR_FREE: 0.25 * q ** 2 + 0.5 * np.abs(q)}
+    for a, symbol in expected.items():
+        assert np.array_equal(model.subsystem(a).symbol.on_grid(grid), symbol), a
 
 
 def test_reduced_pair_shifts():
@@ -46,11 +46,6 @@ def test_reduced_pair_shifts():
     absl = [t for t in h.symbol.terms if t.kind == "absolute"][0]
     assert quad.shift == pytest.approx(s)       # (1/4)(q + s)^2
     assert absl.shift == pytest.approx(-s)      # (1/2)|q - s|
-    # at s = 0 the fiber reduces to the subsystem Hamiltonian
-    h0 = model.reduced(ClusterId.PAIR_FREE, 0.0)
-    grid = make_grid(1, 64, 8.0)
-    assert np.allclose(h0.symbol.on_grid(grid),
-                       model.subsystem(ClusterId.PAIR_FREE).symbol.on_grid(grid))
 
 
 def test_reduced_photon_free_constant_is_abs_s():

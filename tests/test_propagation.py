@@ -394,14 +394,37 @@ def test_every_schedule_caller_rejects_a_time_that_is_not_finite(monkeypatch, ca
         _time_callers(schedule=(2.0, bad))[caller]()
 
 
-@pytest.mark.parametrize("interval", [0.0, -1.0, np.inf, np.nan],
-                         ids=["zero", "negative", "inf", "nan"])
-def test_minimal_velocity_rejects_a_bad_sample_interval(monkeypatch, interval):
-    # a sample interval <= 0 never ended the sample loop
+@pytest.mark.parametrize("caller, times, error, match", [
+    ("local_decay_trace", {"T": 2.01}, GridError, "not a multiple of dt"),
+    ("completeness_defect", {"schedule": (2.0, 4.01)}, GridError, "not a multiple of dt"),
+    ("wave_operator_approx", {"schedule": (2.01,)}, GridError, "not a multiple of dt"),
+    ("wave_operator_cauchy", {"schedule": (2.0, 4.01)}, GridError, "not a multiple of dt"),
+    ("wave_operator_approx", {"schedule": (0.5,)}, HypothesisError, "must be >= 1"),
+    ("wave_operator_cauchy", {"schedule": (0.5, 2.0)}, HypothesisError, "must be >= 1"),
+    ("completeness_defect", {"schedule": (2.0, 2.0, 4.0)}, GridError, "strictly increasing"),
+    ("wave_operator_cauchy", {"schedule": (2.0, 2.0, 4.0)}, GridError, "strictly increasing"),
+], ids=["local-decay-off-dt", "completeness-off-dt", "approx-off-dt", "cauchy-off-dt",
+        "approx-early", "cauchy-early", "completeness-repeated", "cauchy-repeated"])
+def test_every_time_argument_is_checked_before_the_filter(monkeypatch, caller, times, error,
+                                                          match):
+    # each of these filtered, and some marched, before the time failed
+    monkeypatch.setattr(_Stepper, "step", _refuse)
+    monkeypatch.setattr(propagation, "spectral_filter", _refuse)
+    with pytest.raises(error, match=match):
+        _time_callers(**times)[caller]()
+
+
+@pytest.mark.parametrize("interval, match", [
+    (0.0, "finite and positive"), (-1.0, "finite and positive"), (np.inf, "finite and positive"),
+    (np.nan, "finite and positive"), (0.33, "not a multiple of dt"),
+], ids=["zero", "negative", "inf", "nan", "off-dt"])
+def test_minimal_velocity_rejects_a_bad_sample_interval(monkeypatch, interval, match):
+    # a sample interval <= 0 never ended the sample loop; one that dt does
+    # not divide failed after the filter
     monkeypatch.setattr(_Stepper, "step", _refuse)
     monkeypatch.setattr(propagation, "spectral_filter", _refuse)
     psi = gaussian_packet(make_grid(2, 32, 16.0), 0.0, (0.5, 0.5), 2.0)
-    with pytest.raises(GridError, match="sample_interval must be finite and positive"):
+    with pytest.raises(GridError, match=match):
         minimal_velocity_trace(psi, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5),
                                CutoffSpec(delta=0.2, eps=0.05), T=2.0, dt=0.05,
                                table=free_threshold_table(), sample_interval=interval)

@@ -408,6 +408,25 @@ def test_spectral_filter_window_above_range_rejected():
         spectral_filter(psi, h, (1e6, 2e6))
 
 
+@pytest.mark.parametrize("ripple, transition", [
+    (0.0, 0.1), (1.0, 0.1), (2.0, 0.1), (np.nan, 0.1),
+    (1e-6, 0.0), (1e-6, -0.1), (1e-6, np.inf), (1e-6, np.nan),
+], ids=["ripple-zero", "ripple-one", "ripple-two", "ripple-nan", "transition-zero",
+        "transition-negative", "transition-inf", "transition-nan"])
+def test_spectral_filter_rejects_bad_parameters_before_applying_h(monkeypatch, ripple,
+                                                                   transition):
+    # zero divided, NaN or a ripple above 1 failed in int(), and a negative
+    # transition filtered to a function that is zero everywhere
+    def refuse(*args, **kwargs):
+        raise AssertionError("applied H before the parameters were checked")
+
+    monkeypatch.setattr(GridOperator, "apply", refuse)
+    psi = random_state(make_grid(1, 64, 8.0), np.random.default_rng(12))
+    h = HamiltonianSpec(absolute_symbol(1.0), ())
+    with pytest.raises(SpectralWindowError, match="target_ripple|transition_fraction"):
+        spectral_filter(psi, h, (0.5, 1.5), target_ripple=ripple, transition_fraction=transition)
+
+
 def test_spectral_filter_window_below_spectrum_annihilates():
     grid = make_grid(1, 128, 16.0)
     h = HamiltonianSpec(absolute_symbol(1.0), ())
