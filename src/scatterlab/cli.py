@@ -34,15 +34,15 @@ from .propagation import (
     DEFAULT_BOUNDARY_LIMIT,
     CutoffSpec,
     PropagatorSpec,
-    channel_schedule,
+    Schedule,
     completeness_defect,
+    decay_schedule,
     evolve,
-    horizon_steps,
     local_decay_trace,
     minimal_velocity_trace,
+    require_boundary_limit,
     require_decay_weight,
     require_time_step,
-    velocity_sample_times,
 )
 from .commutators import mourre_report, require_sample_count
 from .partition import build_partition, verify_partition, DEFAULT_SMOOTHING_WIDTH
@@ -211,7 +211,8 @@ def _checked(cp, section: str, key: str, cast, check, default=None):
 def parse_schedule(cp) -> tuple[float, float]:
     """[schedule] dt and boundary_limit, shared by the four dynamical experiments."""
     dt = _checked(cp, "schedule", "dt", float, require_time_step)
-    return dt, _get(cp, "schedule", "boundary_limit", float, default=DEFAULT_BOUNDARY_LIMIT)
+    return dt, _checked(cp, "schedule", "boundary_limit", float, require_boundary_limit,
+                        default=DEFAULT_BOUNDARY_LIMIT)
 
 
 def _packet(cp, grid: GridSpec, width: float, momenta: str | None = None) -> WaveFunction:
@@ -328,7 +329,7 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
     elif experiment == "evolve":
         model, grid = _model_on_grid(cp, experiment)
         dt, limit = parse_schedule(cp)
-        horizon = _checked(cp, "schedule", "horizon", float, lambda T: horizon_steps(T, dt))
+        horizon = _checked(cp, "schedule", "horizon", float, lambda T: Schedule.horizon(T, dt, 1))
         psi0 = _packet(cp, grid, 2.0, _get(cp, "packet", "momentum", str, default="0"))
         ham = _evolution_hamiltonian(model, grid)
         final, traces = evolve(psi0, PropagatorSpec(ham, dt=dt), horizon,
@@ -350,18 +351,18 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         if experiment == "local-decay":
             trace = functools.partial(
                 local_decay_trace, psi0, _evolution_hamiltonian(model, grid), window,
-                T=_checked(cp, "schedule", "horizon", float, lambda T: horizon_steps(T, dt)),
+                T=_checked(cp, "schedule", "horizon", float, lambda T: decay_schedule(T, dt)),
                 mu=_checked(cp, "window", "mu", float, require_decay_weight, default=0.6))
         elif experiment == "min-velocity":
             # the trace samples once per unit time, its default sample interval
             trace = functools.partial(
                 minimal_velocity_trace, psi0, model.full(), window,
                 T=_checked(cp, "schedule", "horizon", float,
-                           lambda T: velocity_sample_times(T, 1.0, dt)),
+                           lambda T: Schedule.velocity(T, 1.0, dt)),
                 cutoffs=parse_cutoffs(cp))
         else:
             times = _checked(cp, "schedule", "times", _float_list,
-                             lambda ts: channel_schedule(ts, dt))
+                             lambda ts: Schedule.channel(ts, dt))
             trace = functools.partial(completeness_defect, psi0, model, window,
                                       parse_cutoffs(cp), times)
         series = trace(dt=dt, table=threshold_table(model, make_grid(*xp.THRESHOLD_GRID)),

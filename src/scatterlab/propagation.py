@@ -6,9 +6,10 @@ unitary to roundoff; accuracy in dt is second order.  The step is
 backward march.  The dynamical experiments (local decay, minimal velocity,
 channel cutoffs, approximate wave operators, completeness defect) are
 compositions of evolution, spectral filtering, and smoothed position cutoffs.
-Every run steps through one loop, :func:`_march`; the channel experiments
-share one construction, :func:`_filtered_forward` (one filter, one march
-under H) and :func:`_cut_and_back` (one cut, one march under H_a).
+Every run samples at the whole step marks of one :class:`Schedule` and steps
+through one loop, :func:`_march`; the channel experiments share one
+construction, :func:`_filtered_forward` (one filter, one march under H) and
+:func:`_cut_and_back` (one cut, one march under H_a).
 """
 
 from __future__ import annotations
@@ -60,16 +61,17 @@ def require_time_step(dt: float) -> None:
         raise GridError(f"dt must be finite and positive, got {dt}")
 
 
-def require_horizon(T: float) -> None:
-    """Raise :class:`GridError` unless ``T`` is a finite horizon T >= 0."""
-    if not 0.0 <= T < np.inf:
-        raise GridError(f"need a finite horizon T >= 0, got {T}")
+def require_sample_steps(every) -> None:
+    """Raise :class:`GridError` unless ``every`` is a whole number of steps >= 1."""
+    if not (isinstance(every, (int, np.integer)) and every >= 1):
+        raise GridError(f"steps_per_sample must be an integer >= 1, got {every}")
 
 
-def require_finite_times(times) -> None:
-    """Raise :class:`GridError` unless every time in ``times`` is finite."""
-    if not np.all(np.isfinite(times)):
-        raise GridError(f"times must be finite, got {list(times)}")
+def require_boundary_limit(limit: float) -> None:
+    """Raise :class:`GridError` unless the breach guard's ``limit`` is a mass
+    fraction in (0, 1]; a NaN limit would switch the guard off."""
+    if not 0.0 < limit <= 1.0:
+        raise GridError(f"boundary_limit must lie in (0, 1], got {limit}")
 
 
 def require_decay_weight(mu: float) -> None:
@@ -88,98 +90,111 @@ class PropagatorSpec:
 
     def __post_init__(self):
         require_time_step(self.dt)
-        if self.steps_per_sample < 1:
-            raise GridError("steps_per_sample must be >= 1")
+        require_sample_steps(self.steps_per_sample)
 
 
 def _steps_for(duration: float, dt: float) -> int:
+    require_time_step(dt)
     steps = int(round(duration / dt))
     if abs(steps * dt - duration) > 1e-9 * max(1.0, abs(duration)):
         raise GridError(f"duration {duration} is not a multiple of dt = {dt}")
     return steps
 
 
-def _blocks(start: float, times, dt: float) -> list[int]:
-    """Steps of dt from ``start`` through each of the monotone ``times`` in turn;
-    :class:`GridError` unless every block is a whole number of steps."""
-    return [_steps_for(abs(t - prev), dt) for prev, t in zip([start, *times], times)]
+@dataclass(frozen=True)
+class Schedule:
+    """Samples at whole step marks m, strictly ascending from 1, at times m dt.
 
-
-def horizon_steps(T: float, dt: float) -> int:
-    """Steps of dt to the horizon T; :class:`GridError` unless T is finite, >= 0
-    and a whole number of steps."""
-    require_horizon(T)
-    return _steps_for(T, dt)
-
-
-def _sample_times(T: float, steps_per_sample: int, dt: float) -> list[float]:
-    """Times ``e dt`` after every ``steps_per_sample`` steps of dt and at T."""
-    steps = horizon_steps(T, dt)
-    ends = [*range(steps_per_sample, steps, steps_per_sample), steps] if steps else []
-    return [end * dt for end in ends]
-
-
-def velocity_sample_times(T: float, sample_interval: float, dt: float) -> list[float]:
-    """The minimal-velocity samples 1, 1 + ``sample_interval``, ... up to T >= 1,
-    each march block checked to be a whole number of steps of dt."""
-    require_finite_times((T,))
-    if not T >= 1.0:
-        raise HypothesisError(f"the minimal velocity trace runs over [1, T]; T = {T} < 1")
-    if not 0.0 < sample_interval < np.inf:
-        raise GridError(f"sample_interval must be finite and positive, got {sample_interval}")
-    times = [1.0]
-    while times[-1] + sample_interval <= T + 1e-9:
-        times.append(round(times[-1] + sample_interval, 9))
-    _blocks(0.0, times, dt)
-    return times
-
-
-def channel_schedule(times, dt: float) -> list[float]:
-    """The channel construction's ``times``, ascending, checked before any filter.
-
-    Each time must be finite, distinct and >= 1, where the channel cutoffs are
-    defined, and every march the construction makes, forward through the
-    times and back from each of them, a whole number of steps of dt.
+    A run marches from step 0 through the marks.  The constructors are the one
+    place a float time becomes steps, one :func:`_steps_for` per block, so a bad
+    time fails before any filter or step, and no sample loop runs on floats.
     """
+
+    dt: float
+    marks: tuple[int, ...]
+
+    def __post_init__(self):
+        require_time_step(self.dt)
+        blocks = np.diff((0, *self.marks))
+        if blocks.dtype.kind not in "iu" or np.any(blocks < 1):
+            raise GridError(f"schedule marks must ascend in whole steps from 1, got {self.marks}")
+        object.__setattr__(self, "marks", tuple(map(int, self.marks)))
+
+    @property
+    def times(self) -> list[float]:
+        return [m * self.dt for m in self.marks]
+
+    @classmethod
+    def horizon(cls, T: float, dt: float, every: int) -> Schedule:
+        """A sample after every ``every`` steps and at the finite horizon T >= 0."""
+        require_sample_steps(every)
+        if not 0.0 <= T < np.inf:
+            raise GridError(f"need a finite horizon T >= 0, got {T}")
+        steps = _steps_for(T, dt)
+        return cls(dt, (*range(every, steps, every), steps) if steps else ())
+
+    @classmethod
+    def velocity(cls, T: float, interval: float, dt: float) -> Schedule:
+        """The minimal-velocity samples 1, 1 + ``interval``, ... up to T >= 1."""
+        if not np.isfinite(T):
+            raise GridError(f"times must be finite, got {[T]}")
+        if not T >= 1.0:
+            raise HypothesisError(f"the minimal velocity trace runs over [1, T]; T = {T} < 1")
+        if not 0.0 < interval < np.inf:
+            raise GridError(f"sample_interval must be finite and positive, got {interval}")
+        every = _steps_for(interval, dt)
+        if every < 1:
+            raise GridError(f"sample_interval {interval} is shorter than dt = {dt}")
+        return cls(dt, tuple(range(_steps_for(1.0, dt), int((T + 1e-9) / dt) + 1, every)))
+
+    @classmethod
+    def channel(cls, times, dt: float) -> Schedule:
+        """The channel construction's ``times``, ascending: each finite, distinct
+        and >= 1, where the channel cutoffs are defined."""
+        times = sorted(map(float, np.atleast_1d(times)))
+        if not np.all(np.isfinite(times)):
+            raise GridError(f"times must be finite, got {times}")
+        if not times or times[0] < 1.0:
+            raise HypothesisError("schedule times must be >= 1")
+        if np.any(np.diff(times) <= 0):
+            raise GridError("trace times must be strictly increasing")
+        return cls(dt, tuple(np.cumsum([_steps_for(t - s, dt)
+                                        for s, t in zip([0.0, *times], times)])))
+
+
+def decay_schedule(T: float, dt: float) -> Schedule:
+    """Local decay's samples, every 0.25 time units (or every step if dt is
+    longer) and at T; :class:`GridError` unless T/2 is one, where I(T/2) is read."""
     require_time_step(dt)
-    require_finite_times(times)
-    times = sorted(float(t) for t in np.atleast_1d(times))
-    if not times or times[0] < 1.0:
-        raise HypothesisError("schedule times must be >= 1")
-    if np.any(np.diff(times) <= 0):
-        raise GridError("trace times must be strictly increasing")
-    _blocks(0.0, times, dt)
-    for t in times:
-        _steps_for(t, dt)
-    return times
+    schedule = Schedule.horizon(T, dt, max(1, int(round(0.25 / dt))))
+    if not schedule.marks or schedule.marks[-1] / 2 not in schedule.marks:
+        raise GridError(f"T/2 = {T / 2} is no sample time of the local decay trace")
+    return schedule
 
 
-def _march(values: np.ndarray, stepper: _Stepper, start: float, times,
-           boundary_limit: float, sample, reference: float | None = None) -> np.ndarray:
-    """The one stepping loop: from ``start`` through the monotone list ``times``.
+def _march(values: np.ndarray, stepper: _Stepper, marks, boundary_limit: float, sample,
+           reference: float | None = None, start: int = 0) -> np.ndarray:
+    """The one stepping loop: from step ``start`` through a :class:`Schedule`'s ``marks``.
 
-    Each block takes the steps of |z| that :func:`_blocks` counts; every
-    caller counts them before it filters or steps, so a bad time fails early.
-    After each block ``sample(t, values)`` runs, then the breach guard raises
-    :class:`BoundaryBreachError` if the mass in the outer tenth of the box
-    exceeds ``boundary_limit`` times ``reference``, a squared-norm scale: by
-    default the initial state's, so runs on near-annihilated states (empty
-    windows) do not trip on their own ripple.  Returns the final amplitudes.
+    Each block takes |mark - previous| steps of z, forward or backward as z
+    says.  After each block ``sample(mark, values)`` runs, then the breach
+    guard raises :class:`BoundaryBreachError` if the mass in the outer tenth
+    of the box exceeds ``boundary_limit`` times ``reference``, a squared-norm
+    scale: by default the initial state's, so runs on near-annihilated states
+    (empty windows) do not trip on their own ripple.  Returns the final amplitudes.
     """
-    blocks = _blocks(start, times, abs(stepper.z))
     shell = stepper.grid.shell_mask(BOUNDARY_SHELL_FRACTION)
     if reference is None:
         reference = float(np.sum(np.abs(values) ** 2))
-    for steps, t in zip(blocks, times):
-        for _ in range(steps):
+    for prev, mark in zip((start, *marks), marks):
+        for _ in range(abs(mark - prev)):
             values = stepper.step(values)
-        sample(t, values)
+        sample(mark, values)
         bmass = float(np.sum(np.abs(values[shell]) ** 2) / reference) if reference else 0.0
         if bmass > boundary_limit:
+            t = mark * abs(stepper.z)
             raise BoundaryBreachError(
-                f"boundary mass {bmass:.3e} exceeded {boundary_limit:.1e} at t = {t}",
-                time=t,
-            )
+                f"boundary mass {bmass:.3e} exceeded {boundary_limit:.1e} at t = {t}", time=t)
     return values
 
 
@@ -206,7 +221,8 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
     reaches the outer tenth of the box, returning the partial traces on the
     exception.
     """
-    sample_times = _sample_times(T, prop.steps_per_sample, prop.dt)
+    schedule = Schedule.horizon(T, prop.dt, prop.steps_per_sample)
+    require_boundary_limit(boundary_limit)
     grid = wf.grid
     op = GridOperator(prop.ham, grid)
     stepper = _Stepper(op, 1j * prop.dt)
@@ -215,8 +231,8 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
     times = []
     records: dict[str, list[float]] = {name: [] for name in observables}
 
-    def record(t, values):
-        times.append(t)
+    def record(mark, values):
+        times.append(mark * prop.dt)
         nsq = grid.measure * np.sum(np.abs(values) ** 2)
         for name in observables:
             if name == "norm":
@@ -231,9 +247,9 @@ def evolve(wf: WaveFunction, prop: PropagatorSpec, T: float,
             else:
                 raise GridError(f"unknown observable {name!r}")
 
-    record(0.0, wf.values)
+    record(0, wf.values)
     try:
-        values = _march(wf.values, stepper, 0.0, sample_times, boundary_limit, record)
+        values = _march(wf.values, stepper, schedule.marks, boundary_limit, record)
     except BoundaryBreachError as exc:
         exc.partial_traces = {
             name: TraceSeries(np.array(times), np.array(vals), name)
@@ -310,15 +326,15 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
     """Cumulative weighted-decay integral I(t) for the filtered evolution.
 
     Filters ``psi0`` into the window and traces the trapezoid cumulative of
-    ||<X>^(-mu) psi(t)||^2, sampled every 0.25 time units (or every step if
-    dt is longer).  The saturation ratio I(T)/I(T/2) lands in the metadata;
-    bounded ratios signal time-integrability, an eigenstate in the window
-    drives the ratio to 2.  The window must hold no threshold of ``table``
-    and none of the ``known_eigenvalues``.
+    ||<X>^(-mu) psi(t)||^2 on :func:`decay_schedule`, every 0.25 time units (or
+    every step if dt is longer).  The saturation ratio I(T)/I(T/2) lands in the
+    metadata, with I(T/2) read at half the steps, so T/2 must be a sample;
+    bounded ratios signal time-integrability, an eigenstate in the window drives
+    the ratio to 2.  The window must hold no threshold of ``table`` and none of
+    the ``known_eigenvalues``.
     """
-    require_time_step(dt)
-    steps_per_sample = max(1, int(round(0.25 / dt)))
-    sample_times = _sample_times(T, steps_per_sample, dt)
+    schedule = decay_schedule(T, dt)
+    require_boundary_limit(boundary_limit)
     require_decay_weight(mu)
     table.require_clear(window)
     for lam in known_eigenvalues:
@@ -331,20 +347,18 @@ def local_decay_trace(psi0: WaveFunction, ham: HamiltonianSpec, window, mu: floa
 
     weight_sq = (1.0 + grid.radius_sq()) ** (-mu)
     stepper = _Stepper(GridOperator(ham, grid), 1j * dt)
-    times, w = [], []
+    w = []
 
-    def sample(t, values):
-        times.append(t)
+    def sample(mark, values):
         w.append(float(grid.measure * np.sum(weight_sq * np.abs(values) ** 2)))
 
-    sample(0.0, psi.values)
-    _march(psi.values, stepper, 0.0, sample_times, boundary_limit, sample)
-    times = np.array(times)
-    w = np.array(w)
+    sample(0, psi.values)
+    _march(psi.values, stepper, schedule.marks, boundary_limit, sample)
+    times, w = np.array([0.0, *schedule.times]), np.array(w)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(times))])
     series = TraceSeries(times, integral, "local_decay_integral",
                          metadata={"mu": mu, "window": tuple(window), "dt": dt})
-    half = integral[np.argmin(np.abs(times - T / 2.0))]
+    half = integral[1 + schedule.marks.index(schedule.marks[-1] // 2)]
     ratio = float(integral[-1] / half) if half > 0 else np.inf
     series.metadata["saturation_ratio"] = ratio
     return series
@@ -361,8 +375,8 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
     theta is then d(E) at its bottom edge, where d is smallest, and delta < theta.
     The trace samples every ``sample_interval`` over t in [1, T], so T >= 1.
     """
-    require_time_step(dt)
-    sample_times = velocity_sample_times(T, sample_interval, dt)
+    schedule = Schedule.velocity(T, sample_interval, dt)
+    require_boundary_limit(boundary_limit)
     table.require_clear(window)
     theta = distance_to_threshold(window[0], table)
     if cutoffs.delta >= theta:
@@ -373,27 +387,27 @@ def minimal_velocity_trace(psi0: WaveFunction, ham: HamiltonianSpec, window,
     psi = _unit_filtered(psi0, ham, window, filter_transition, skip_filter)
     vals = []
 
-    def sample(t, values):
-        F = shrinking_region_field(grid, t, cutoffs.delta, cutoffs.eps,
+    def sample(mark, values):
+        F = shrinking_region_field(grid, mark * dt, cutoffs.delta, cutoffs.eps,
                                    cutoffs.smoothing_fraction)
         vals.append(float(np.sqrt(grid.measure * np.sum(F ** 2 * np.abs(values) ** 2))))
 
-    _march(psi.values, _Stepper(GridOperator(ham, grid), 1j * dt), 0.0, sample_times,
+    _march(psi.values, _Stepper(GridOperator(ham, grid), 1j * dt), schedule.marks,
            boundary_limit, sample)
-    return TraceSeries(np.array(sample_times), np.array(vals), "minimal_velocity_norm",
+    return TraceSeries(np.array(schedule.times), np.array(vals), "minimal_velocity_norm",
                        metadata={"delta": cutoffs.delta, "eps": cutoffs.eps,
                                  "theta": theta, "window": tuple(window), "dt": dt})
 
 
-def _filtered_forward(psi0: WaveFunction, model: ThreeBodyModel, window, times, dt: float,
+def _filtered_forward(psi0: WaveFunction, model: ThreeBodyModel, window, schedule: Schedule,
                       table: ThresholdTable, filter_ripple: float,
                       filter_transition: float, boundary_limit: float,
                       deflate_eigenvectors=()) -> tuple[WaveFunction, dict | None]:
-    """``(psi, states)``: after the checks, ``psi`` = E_window(H) psi0, deflated,
-    and ``states[t]`` = e^{-itH} psi at the monotone ``times``, from one march.
-    ``states`` is None when ``psi`` is at most 1e-7 ||psi0||: the window misses
+    """``(psi, states)``: after the checks, ``psi`` = E_window(H) psi0, deflated, and
+    ``states[m]`` = e^{-itH} psi at t = m dt for each mark m of ``schedule``, from one
+    march.  ``states`` is None when ``psi`` is at most 1e-7 ||psi0||: the window misses
     the spectrum, and evolving ripple would only propagate roundoff."""
-    channel_schedule(times, dt)
+    require_boundary_limit(boundary_limit)
     if not window[1] < 0:
         raise SpectralWindowError("the channel construction runs at negative energies")
     table.require_clear(window)
@@ -404,37 +418,37 @@ def _filtered_forward(psi0: WaveFunction, model: ThreeBodyModel, window, times, 
     if psi.norm() <= 1e-7 * psi0.norm():
         return psi, None
     states = {}
-    _march(psi.values, _Stepper(GridOperator(ham_full, psi0.grid), 1j * dt), 0.0, times,
-           boundary_limit, states.__setitem__)
+    _march(psi.values, _Stepper(GridOperator(ham_full, psi0.grid), 1j * schedule.dt),
+           schedule.marks, boundary_limit, states.__setitem__)
     return psi, states
 
 
-def _cut_and_back(a: ClusterId, t: float, state: np.ndarray, psi: WaveFunction,
-                  model: ThreeBodyModel, cutoffs: CutoffSpec, dt: float, times,
+def _cut_and_back(a: ClusterId, mark: int, state: np.ndarray, psi: WaveFunction,
+                  model: ThreeBodyModel, cutoffs: CutoffSpec, dt: float, marks,
                   boundary_limit: float) -> dict:
-    """e^{-i(s - t) H_a} F_a(t) ``state`` at the monotone ``times`` s, from one march.
+    """{m: e^{-i(s - t) H_a} F_a(t) ``state``} at s = m dt, m in ``marks``, t = ``mark`` dt.
 
     The breach guard runs against the filtered state ``psi``'s squared norm,
     so tiny off-channel slivers are judged by what they contribute.
     """
     states = {}
-    _march(channel_cutoff(a, t, cutoffs, psi.grid) * state,
-           _Stepper(GridOperator(model.truncated(a), psi.grid), -1j * dt), t, times,
-           boundary_limit, states.__setitem__, float(np.sum(np.abs(psi.values) ** 2)))
+    _march(channel_cutoff(a, mark * dt, cutoffs, psi.grid) * state,
+           _Stepper(GridOperator(model.truncated(a), psi.grid), -1j * dt), marks,
+           boundary_limit, states.__setitem__, float(np.sum(np.abs(psi.values) ** 2)), mark)
     return states
 
 
-def _approximants(a, psi0, model, window, cutoffs, schedule, dt, table, filter_ripple,
+def _approximants(a, psi0, model, window, cutoffs, schedule: Schedule, table, filter_ripple,
                   filter_transition, boundary_limit) -> list[WaveFunction]:
-    """phi_a(t) at each time of the ascending ``schedule``, or the vanished filtered state."""
+    """phi_a(t) at each time of ``schedule``, or the vanished filtered state."""
     require_two_cluster(a)
-    psi, forward = _filtered_forward(psi0, model, window, schedule, dt, table, filter_ripple,
+    psi, forward = _filtered_forward(psi0, model, window, schedule, table, filter_ripple,
                                      filter_transition, boundary_limit)
     if forward is None:
-        return [psi] * len(schedule)
-    return [WaveFunction(psi.grid, _cut_and_back(a, t, forward[t], psi, model, cutoffs, dt,
-                                                 [0.0], boundary_limit)[0.0])
-            for t in schedule]
+        return [psi] * len(schedule.marks)
+    return [WaveFunction(psi.grid, _cut_and_back(a, m, forward[m], psi, model, cutoffs,
+                                                 schedule.dt, [0], boundary_limit)[0])
+            for m in schedule.marks]
 
 
 def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel,
@@ -450,8 +464,8 @@ def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
     be negative and hold no threshold of ``table``.  An empty window
     returns the ripple-level filtered state unevolved.
     """
-    return _approximants(a, psi0, model, window, cutoffs, [t], dt, table, filter_ripple,
-                         filter_transition, boundary_limit)[0]
+    return _approximants(a, psi0, model, window, cutoffs, Schedule.channel([t], dt), table,
+                         filter_ripple, filter_transition, boundary_limit)[0]
 
 
 def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel,
@@ -466,13 +480,13 @@ def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel
     march serve every time; each phi_a(t) is bit for bit
     :func:`wave_operator_approx` at t, with the same window checks.
     """
-    schedule = channel_schedule(schedule, dt)
-    if len(schedule) < 2:
+    schedule = Schedule.channel(schedule, dt)
+    if len(schedule.marks) < 2:
         raise HypothesisError("the stabilization trace needs at least two times")
-    phis = _approximants(a, psi0, model, window, cutoffs, schedule, dt, table, 1e-6,
+    phis = _approximants(a, psi0, model, window, cutoffs, schedule, table, 1e-6,
                          filter_transition, boundary_limit)
-    diffs = [(phis[j + 1] - phis[j]).norm() for j in range(len(schedule) - 1)]
-    return TraceSeries(np.array(schedule[1:]), np.array(diffs),
+    diffs = [(q - p).norm() for p, q in zip(phis, phis[1:])]
+    return TraceSeries(np.array(schedule.times[1:]), np.array(diffs),
                        "wave_operator_stabilization",
                        metadata={"cluster": str(a), "window": tuple(window), "dt": dt})
 
@@ -490,24 +504,23 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
     from the filtered initial state first.  The window must be negative and
     hold no threshold of ``table``.
     """
-    schedule = channel_schedule(schedule, dt)
-    psi, forward = _filtered_forward(psi0, model, window, schedule, dt, table, filter_ripple,
+    schedule = Schedule.channel(schedule, dt)
+    psi, forward = _filtered_forward(psi0, model, window, schedule, table, filter_ripple,
                                      filter_transition, boundary_limit, deflate_eigenvectors)
-    filtered_norm = psi.norm()
+    filtered_norm, times = psi.norm(), np.array(schedule.times)
     if forward is None:
-        return TraceSeries(np.array(schedule), np.zeros(len(schedule)), "completeness_defect",
+        return TraceSeries(times, np.zeros(times.size), "completeness_defect",
                            metadata={"filtered_norm": filtered_norm,
                                      "window": tuple(window), "dt": dt})
-    t_ref = schedule[-1]
+    ref = schedule.marks[-1]
     # marching backward through the schedule gives e^{-i tau H_a} phi_a directly;
     # its first state, at t_ref, is the cut state itself
-    paths = {a: _cut_and_back(a, t_ref, forward[t_ref], psi, model, cutoffs, dt,
-                              schedule[::-1], boundary_limit) for a in TWO_CLUSTERS}
-    defects = [WaveFunction(psi.grid, forward[t] - sum(p[t] for p in paths.values())).norm()
-               for t in schedule]
+    paths = {a: _cut_and_back(a, ref, forward[ref], psi, model, cutoffs, dt,
+                              schedule.marks[::-1], boundary_limit) for a in TWO_CLUSTERS}
+    defects = [WaveFunction(psi.grid, forward[m] - sum(p[m] for p in paths.values())).norm()
+               for m in schedule.marks]
     meta = {"filtered_norm": filtered_norm, "window": tuple(window), "dt": dt,
-            "t_ref": t_ref, "deflated": len(tuple(deflate_eigenvectors))}
-    meta.update({f"channel_norm_{a!s}": WaveFunction(psi.grid, p[t_ref]).norm()
+            "t_ref": ref * dt, "deflated": len(tuple(deflate_eigenvectors))}
+    meta.update({f"channel_norm_{a!s}": WaveFunction(psi.grid, p[ref]).norm()
                  for a, p in paths.items()})
-    return TraceSeries(np.array(schedule), np.array(defects), "completeness_defect",
-                       metadata=meta)
+    return TraceSeries(times, np.array(defects), "completeness_defect", metadata=meta)

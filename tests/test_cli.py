@@ -591,9 +591,21 @@ _CHANNELS, _EVOLVE = ((SHIPPED / f"{name}.ini").read_text() for name in ("channe
      "[cutoffs] need delta > eps > 0"),
     ("local-decay", _with(LOCAL_DECAY_INI, "hi = 1.5\n", "hi = 1.5\nmu = 0.3\n"),
      "[window] local decay weight needs mu > 1/2"),
+    ("local-decay", _with(LOCAL_DECAY_INI, "horizon = 1.0", "horizon = 1.1"),
+     "[schedule] T/2 = 0.55 is no sample time"),
+    ("local-decay", _with(LOCAL_DECAY_INI, "boundary_limit = 1.0", "boundary_limit = nan"),
+     "[schedule] boundary_limit must lie in (0, 1], got nan"),
+    ("evolve", _with(_EVOLVE, "boundary_limit = 1e-5", "boundary_limit = 0"),
+     "[schedule] boundary_limit must lie in (0, 1], got 0.0"),
+    ("min-velocity", _with(MINVEL_INI, "boundary_limit = 1e-4", "boundary_limit = -1e-4"),
+     "[schedule] boundary_limit must lie in (0, 1], got -0.0001"),
+    ("channels", _with(_CHANNELS, "boundary_limit = 1e-3", "boundary_limit = 2"),
+     "[schedule] boundary_limit must lie in (0, 1], got 2.0"),
 ], ids=["channels-off-dt", "channels-repeated", "channels-early", "evolve-off-dt",
         "local-decay-off-dt", "min-velocity-off-dt", "spectrum-count-0", "spectrum-count-300",
-        "mourre-samples-0", "min-velocity-delta", "local-decay-mu"])
+        "mourre-samples-0", "min-velocity-delta", "local-decay-mu", "local-decay-half-off-sample",
+        "local-decay-nan-limit", "evolve-zero-limit", "min-velocity-negative-limit",
+        "channels-limit-above-one"])
 def test_out_of_range_value_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch,
                                                                name, text, message):
     # each exited 1, the dynamical ones after the threshold solves and some

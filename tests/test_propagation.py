@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,8 +29,10 @@ from scatterlab.operators import (
     quadratic_symbol,
 )
 from scatterlab.propagation import (
+    DEFAULT_BOUNDARY_LIMIT,
     CutoffSpec,
     PropagatorSpec,
+    Schedule,
     TraceSeries,
     channel_cutoff,
     completeness_defect,
@@ -330,27 +339,30 @@ def test_every_stepping_caller_stops_at_the_boundary(caller):
     assert 0.0 < err.value.time < 10.0
 
 
-def _time_callers(dt=0.05, T=2.0, schedule=(2.0, 4.0)):
+def _time_callers(dt=0.05, T=2.0, schedule=(2.0, 4.0), limit=DEFAULT_BOUNDARY_LIMIT):
     """Every stepping entry point on a small grid, each on a window its table
-    clears, so that a bad time argument is the call's one fault."""
+    clears, so that a bad time argument or boundary limit is the call's one fault."""
     h = HamiltonianSpec(quadratic_symbol(1.0), ((poschl_teller(2.0, 1.0), "internal"),))
     psi1 = gaussian_packet(make_grid(1, 64, 16.0), 0.0, 0.5, 2.0)
     psi2 = gaussian_packet(make_grid(2, 32, 16.0), 0.0, (0.5, 0.5), 2.0)
     model, cut, window = default_model(), CutoffSpec(delta=0.2, eps=0.05), (-0.45, -0.15)
     table, free = threshold_table(model, make_grid(1, 64, 16.0)), free_threshold_table()
     return {
-        "evolve": lambda: evolve(psi1, PropagatorSpec(h, dt=dt), T=T),
+        "evolve": lambda: evolve(psi1, PropagatorSpec(h, dt=dt), T=T, boundary_limit=limit),
         "local_decay_trace": lambda: local_decay_trace(psi1, h, (0.5, 1.5), mu=0.6, T=T,
-                                                       dt=dt, table=free),
+                                                       dt=dt, table=free, boundary_limit=limit),
         "minimal_velocity_trace": lambda: minimal_velocity_trace(
-            psi2, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5), cut, T=T, dt=dt, table=free),
+            psi2, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5), cut, T=T, dt=dt, table=free,
+            boundary_limit=limit),
         "completeness_defect": lambda: completeness_defect(psi2, model, window, cut, schedule,
-                                                           dt=dt, table=table),
+                                                           dt=dt, table=table,
+                                                           boundary_limit=limit),
         "wave_operator_approx": lambda: wave_operator_approx(
             ClusterId.PHOTON_FREE, psi2, model, window, cut, t=schedule[-1], dt=dt,
-            table=table),
+            table=table, boundary_limit=limit),
         "wave_operator_cauchy": lambda: wave_operator_cauchy(
-            ClusterId.PHOTON_FREE, psi2, model, window, cut, schedule, dt=dt, table=table),
+            ClusterId.PHOTON_FREE, psi2, model, window, cut, schedule, dt=dt, table=table,
+            boundary_limit=limit),
     }
 
 
@@ -403,8 +415,24 @@ def test_every_schedule_caller_rejects_a_time_that_is_not_finite(monkeypatch, ca
     ("wave_operator_cauchy", {"schedule": (0.5, 2.0)}, HypothesisError, "must be >= 1"),
     ("completeness_defect", {"schedule": (2.0, 2.0, 4.0)}, GridError, "strictly increasing"),
     ("wave_operator_cauchy", {"schedule": (2.0, 2.0, 4.0)}, GridError, "strictly increasing"),
+    ("local_decay_trace", {"T": 0.0}, GridError, "T/2 = 0.0 is no sample time"),
+    ("local_decay_trace", {"T": 0.25}, GridError, "T/2 = 0.125 is no sample time"),
+    ("local_decay_trace", {"T": 1.1}, GridError, "T/2 = 0.55 is no sample time"),
+    ("evolve", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
+    ("local_decay_trace", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
+    ("minimal_velocity_trace", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
+    ("completeness_defect", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
+    ("wave_operator_approx", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
+    ("wave_operator_cauchy", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
+    ("evolve", {"limit": 0.0}, GridError, "boundary_limit must lie in"),
+    ("local_decay_trace", {"limit": -1e-6}, GridError, "boundary_limit must lie in"),
+    ("completeness_defect", {"limit": 1.5}, GridError, "boundary_limit must lie in"),
 ], ids=["local-decay-off-dt", "completeness-off-dt", "approx-off-dt", "cauchy-off-dt",
-        "approx-early", "cauchy-early", "completeness-repeated", "cauchy-repeated"])
+        "approx-early", "cauchy-early", "completeness-repeated", "cauchy-repeated",
+        "local-decay-T0", "local-decay-half-off-sample", "local-decay-half-between-samples",
+        "evolve-nan-limit", "local-decay-nan-limit", "min-velocity-nan-limit",
+        "completeness-nan-limit", "approx-nan-limit", "cauchy-nan-limit", "evolve-zero-limit",
+        "local-decay-negative-limit", "completeness-limit-above-one"])
 def test_every_time_argument_is_checked_before_the_filter(monkeypatch, caller, times, error,
                                                           match):
     # each of these filtered, and some marched, before the time failed
@@ -429,3 +457,73 @@ def test_minimal_velocity_rejects_a_bad_sample_interval(monkeypatch, interval, m
                                CutoffSpec(delta=0.2, eps=0.05), T=2.0, dt=0.05,
                                table=free_threshold_table(), sample_interval=interval)
 
+
+@pytest.mark.parametrize("every", [2.5, np.nan, 0, -3], ids=["fraction", "nan", "zero",
+                                                            "negative"])
+def test_a_sample_step_count_must_be_a_whole_number_of_steps(every):
+    # 2.5 and NaN passed the check and escaped as a TypeError from range inside evolve
+    h = HamiltonianSpec(quadratic_symbol(1.0), ())
+    with pytest.raises(GridError, match="steps_per_sample must be an integer >= 1"):
+        PropagatorSpec(h, dt=0.05, steps_per_sample=every)
+    with pytest.raises(GridError, match="steps_per_sample must be an integer >= 1"):
+        Schedule.horizon(1.0, 0.05, every)
+
+
+_TINY_SAMPLE_INTERVAL = textwrap.dedent("""
+    import json
+    from scatterlab.errors import GridError
+    from scatterlab.experiments import free_threshold_table
+    from scatterlab.lattice import gaussian_packet, make_grid
+    from scatterlab.operators import HamiltonianSpec, free_symbol
+    from scatterlab.propagation import CutoffSpec, minimal_velocity_trace
+
+    psi = gaussian_packet(make_grid(2, 32, 16.0), 0.0, (0.5, 0.5), 2.0)
+    try:
+        minimal_velocity_trace(psi, HamiltonianSpec(free_symbol(), ()), (0.5, 1.5),
+                               CutoffSpec(delta=0.2, eps=0.05), T=2.0, dt=0.05,
+                               table=free_threshold_table(), sample_interval=1e-10)
+        error = None
+    except GridError as exc:
+        error = str(exc)
+    print(json.dumps(error))
+""")
+
+
+def test_a_sample_interval_shorter_than_dt_fails_at_once():
+    # the float sample loop rounded each time to 9 decimals, so below about
+    # 5e-10 the time stopped advancing and the call never returned
+    src = str(Path(propagation.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", _TINY_SAMPLE_INTERVAL], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(run.stdout) == "sample_interval 1e-10 is shorter than dt = 0.05"
+
+
+def test_every_stepping_caller_takes_the_steps_its_schedule_names(monkeypatch):
+    # the forward march runs to the last mark; each channel back-march runs from
+    # its cut time to 0 (approximants) or back through the schedule (defect)
+    steps, step = [], _Stepper.step
+
+    def counted(self, values):
+        steps.append(1)
+        return step(self, values)
+
+    monkeypatch.setattr(_Stepper, "step", counted)
+    dt, T, times = 0.05, 2.0, (2.0, 4.0)
+    channel = Schedule.channel(times, dt).marks
+    expected = {
+        "evolve": Schedule.horizon(T, dt, 1).marks[-1],
+        "local_decay_trace": propagation.decay_schedule(T, dt).marks[-1],
+        "minimal_velocity_trace": Schedule.velocity(T, 1.0, dt).marks[-1],
+        "completeness_defect": channel[-1] + len(TWO_CLUSTERS) * (channel[-1] - channel[0]),
+        "wave_operator_approx": 2 * channel[-1],
+        "wave_operator_cauchy": channel[-1] + sum(channel),
+    }
+    assert expected == {"evolve": 40, "local_decay_trace": 40, "minimal_velocity_trace": 40,
+                        "completeness_defect": 200, "wave_operator_approx": 160,
+                        "wave_operator_cauchy": 200}
+    for caller, run in _time_callers(dt=dt, T=T, schedule=times, limit=1.0).items():
+        steps.clear()
+        run()
+        assert len(steps) == expected[caller], caller
