@@ -17,7 +17,6 @@ from .commutators import (
     commutator_form,
     continuum_edge,
     mourre_report,
-    second_commutator_form,
     sqrt_lemma_eval,
 )
 from .errors import (
@@ -68,8 +67,6 @@ from .propagation import (
     evolve,
     local_decay_trace,
     minimal_velocity_trace,
-    wave_operator_approx,
-    wave_operator_cauchy,
 )
 from .spectral import (
     DispersionCurve,

@@ -25,8 +25,8 @@ import numpy as np
 from . import experiments as xp
 from . import io as sio
 from .clusters import ClusterId, TWO_CLUSTERS
-from .errors import (ChecksSkippedError, ConfigError, GridError, HypothesisError,
-                     PotentialError, ScatterError)
+from .errors import (ChecksSkippedError, ClusterError, ConfigError, GridError,
+                     HypothesisError, PotentialError, ScatterError)
 from .lattice import GridSpec, WaveFunction, make_grid, gaussian_packet, write_wavefunction
 from .model import ThreeBodyModel
 from .operators import PotentialSpec
@@ -44,7 +44,7 @@ from .propagation import (
     require_decay_weight,
     require_time_step,
 )
-from .commutators import mourre_report, require_sample_count
+from .commutators import mourre_report, require_boundary_tol, require_sample_count
 from .partition import build_partition, verify_partition, DEFAULT_SMOOTHING_WIDTH
 from .spectral import (DENSE_LIMIT, dense_spectrum, dispersion_scan, iterative_lowest,
                        threshold_table)
@@ -233,9 +233,12 @@ def _evolution_hamiltonian(model: ThreeBodyModel, grid: GridSpec):
 
 
 def parse_window(cp):
+    """[window] lo and hi, finite with lo < hi."""
     _require_section(cp, "window")
-    return (_get(cp, "window", "lo", float, required=True),
-            _get(cp, "window", "hi", float, required=True))
+    lo, hi = (_get(cp, "window", key, float, required=True) for key in ("lo", "hi"))
+    if not -np.inf < lo < hi < np.inf:
+        raise ConfigError(f"[window] (lo, hi) = ({lo}, {hi}) must be finite with lo < hi")
+    return lo, hi
 
 
 def _out_path(out_dir, experiment, tag, suffix):
@@ -292,9 +295,13 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         model, grid = _model_on_grid(cp, experiment)
         window = parse_window(cp)
         energy = _get(cp, "window", "energy", float, required=True)
+        if not window[0] < energy < window[1]:
+            raise ConfigError(f"[window] energy = {energy} must lie inside ({window[0]}, "
+                              f"{window[1]})")
         samples = _checked(cp, "window", "samples", int, require_sample_count, default=20)
+        boundary_tol = _checked(cp, "window", "boundary_tol", float, require_boundary_tol,
+                                default=5e-2)
         table = threshold_table(model, make_grid(*xp.THRESHOLD_GRID))
-        boundary_tol = _get(cp, "window", "boundary_tol", float, default=5e-2)
         report = mourre_report(energy, window, model, grid, table,
                                samples=samples, seed=seed, boundary_tol=boundary_tol)
         path = out("")
@@ -315,7 +322,10 @@ def run_experiment(experiment: str, cp, seed: int, out_dir: str, fast: bool = Fa
         width = _get(cp, "partition", "width", float, default=DEFAULT_SMOOTHING_WIDTH)
         # no boundary-decay check: the partition samples the model only along rays
         grid = _grid_for(cp, experiment)
-        pset = build_partition(width)
+        try:
+            pset = build_partition(width)
+        except ClusterError as exc:
+            raise ConfigError(f"[partition] {exc}") from exc
         model = parse_model(cp) if cp.has_section("model") else None
         report = verify_partition(pset, grid, model=model)
         sio.write_csv(out(""), *xp.partition_csv(report))

@@ -4,8 +4,8 @@ The conjugate operator is the dilation generator A = (P.X + X.P)/2, one per
 grid (:func:`apply_dilation`), applied with the momentum factor spectral and
 the position factor pointwise.  The commutator [H, iA] is never assembled as
 a matrix; its quadratic form is evaluated from two inner products, and the
-closed-form right-hand sides of the first and second commutators are applied
-directly as multiplier plus multiplication operators for cross-checking.
+closed-form right-hand side of the commutator is applied directly as
+multiplier plus multiplication operators for cross-checking.
 They are addressed by cluster: ``ClusterId.TOGETHER`` for [H, iA] on the
 two-particle grid, a 2-cluster for the fiber of [H_a, iA] at external
 momentum s, read from one hand-written row per 2-cluster.  One FFT helper
@@ -28,6 +28,7 @@ from .clusters import ClusterId, require_two_cluster
 from .errors import (
     BoundaryConcentrationError,
     ClusterError,
+    GridError,
     HypothesisError,
     QuadratureError,
 )
@@ -47,22 +48,19 @@ DEFAULT_BOUNDARY_TOL = 1e-8
 
 # Each 2-cluster's closed forms in its internal grid coordinate u: its
 # potential V_a(u), the first-commutator multiplier m1(q, s) at external
-# momentum s, the second-commutator multiplier m2(q), and the constant c(s)
-# that the external coordinate adds to the fiber.  Written out by hand, not
-# derived from model.reduced: they are the oracle that the fibers' (and so
-# the subsystems') lattice commutators are checked against.  V23 acts on the
-# (xy)(0) coordinate u as V23(2u), and the singular mode q = s of sign(q - s)
-# takes the mean of its one-sided limits (numpy's sign at zero).  c(0) = 0 and
-# q sign(q) = |q|, so s = 0 gives the internal commutators [h_a, i A^a].
+# momentum s, and the constant c(s) that the external coordinate adds to the
+# fiber.  Written out by hand, not derived from model.reduced: they are the
+# oracle that the fibers' (and so the subsystems') lattice commutators are
+# checked against.  V23 acts on the (xy)(0) coordinate u as V23(2u), and the
+# singular mode q = s of sign(q - s) takes the mean of its one-sided limits
+# (numpy's sign at zero).  c(0) = 0 and q sign(q) = |q|, so s = 0 gives the
+# internal commutators [h_a, i A^a].
 _CLOSED_FORMS = {
-    ClusterId.PHOTON_FREE: (
-        lambda m: m.v12, lambda q, s: 2.0 * q ** 2, lambda q: 4.0 * q ** 2, abs),
-    ClusterId.ELECTRON_FREE: (
-        lambda m: m.v13, lambda q, s: np.abs(q), np.abs, lambda s: 2.0 * s * s),
+    ClusterId.PHOTON_FREE: (lambda m: m.v12, lambda q, s: 2.0 * q ** 2, abs),
+    ClusterId.ELECTRON_FREE: (lambda m: m.v13, lambda q, s: np.abs(q), lambda s: 2.0 * s * s),
     ClusterId.PAIR_FREE: (
         ThreeBodyModel.pair_potential,
-        lambda q, s: 0.5 * q ** 2 + 0.5 * s * q + 0.5 * q * np.sign(q - s),
-        lambda q: q ** 2 + 0.5 * np.abs(q), lambda s: 0.0),
+        lambda q, s: 0.5 * q ** 2 + 0.5 * s * q + 0.5 * q * np.sign(q - s), lambda s: 0.0),
 }
 
 
@@ -71,7 +69,15 @@ def _in_momentum(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(multiplier * np.fft.fftn(values))
 
 
+def require_boundary_tol(tol: float) -> None:
+    """Raise :class:`GridError` unless the concentration guard's ``tol`` is a mass
+    fraction in (0, 1]; a NaN tolerance, or one above 1, would switch the guard off."""
+    if not 0.0 < tol <= 1.0:
+        raise GridError(f"boundary_tol must lie in (0, 1], got {tol}")
+
+
 def check_boundary_concentration(wf: WaveFunction, tol: float = DEFAULT_BOUNDARY_TOL) -> float:
+    require_boundary_tol(tol)
     mass = wf.boundary_mass(0.8)
     if mass > tol:
         raise BoundaryConcentrationError(
@@ -136,32 +142,13 @@ def analytic_commutator_apply(wf: WaveFunction, cluster: ClusterId, model: Three
     require_two_cluster(cluster)
     if grid.particles != 1:
         raise ClusterError("2-cluster formulas live on one-particle grids")
-    potential, m1, _, c = _CLOSED_FORMS[cluster]
+    potential, m1, c = _CLOSED_FORMS[cluster]
     fld = potential(model).virial_field(grid.position_mesh()[0])
     out = _in_momentum(wf.values, m1(grid.momentum_mesh()[0], s)) - fld * wf.values
     const = c(s)
     if const:
         out = out + const * wf.values
     return WaveFunction(grid, out)
-
-
-def second_commutator_form(wf: WaveFunction, cluster: ClusterId,
-                           model: ThreeBodyModel) -> float:
-    """Quadratic form of the closed-form second commutator [[h_a, iA^a], iA^a].
-
-    m2(q) + u d/du (u V_a'(u)) with the row of :data:`_CLOSED_FORMS`.  A
-    boundedness sanity report for the second-commutator hypotheses, not a
-    spectral tool.
-    """
-    require_two_cluster(cluster)
-    grid = wf.grid
-    if grid.particles != 1:
-        raise ClusterError("second commutators are evaluated on the internal grid")
-    potential, _, m2, _ = _CLOSED_FORMS[cluster]
-    fld = potential(model).double_virial_field(grid.position_mesh()[0])
-    cpsi = WaveFunction(grid, _in_momentum(wf.values, m2(grid.momentum_mesh()[0]))
-                        + fld * wf.values)
-    return wf.inner(cpsi).real
 
 
 def sqrt_lemma_eval(k: float, tol: float = 1e-8, max_evals: int = 200000) -> float:
@@ -258,6 +245,7 @@ def mourre_report(E: float, window: tuple[float, float], model: ThreeBodyModel,
     d(E) - epsilon, epsilon = d(E)/10.
     """
     require_sample_count(samples)
+    require_boundary_tol(boundary_tol)
     e_lo, e_hi = float(window[0]), float(window[1])
     if not e_lo < E < e_hi:
         raise HypothesisError("E must lie inside the window")

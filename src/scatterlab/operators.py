@@ -112,8 +112,8 @@ class PotentialSpec:
     """Smooth decaying potential on one coordinate.
 
     Families: "zero"; "poschl_teller" is ``-V0 sech^2((u-c)/w)``;
-    "gaussian_well" is ``-V0 exp(-(u-c)^2/w^2)``.  Both wells have closed-form
-    first and second derivatives.
+    "gaussian_well" is ``-V0 exp(-(u-c)^2/w^2)``.  Both wells have a closed-form
+    derivative.
     """
 
     family: str
@@ -152,16 +152,6 @@ class PotentialSpec:
             return (2.0 * self.strength / self.width) * np.tanh(z) / np.cosh(z) ** 2
         return (2.0 * self.strength / self.width) * z * np.exp(-(z ** 2))
 
-    def second_derivative(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        z = (u - self.center) / self.width
-        if self.is_zero:
-            return np.zeros_like(u)
-        if self.family == "poschl_teller":
-            s2 = 1.0 / np.cosh(z) ** 2
-            return (2.0 * self.strength / self.width ** 2) * s2 * (s2 - 2.0 * np.tanh(z) ** 2)
-        return (2.0 * self.strength / self.width ** 2) * (1.0 - 2.0 * z ** 2) * np.exp(-(z ** 2))
-
     def dilated(self, factor: float) -> "PotentialSpec":
         """The potential ``u -> V(factor * u)``, in the same family."""
         if self.is_zero:
@@ -171,11 +161,6 @@ class PotentialSpec:
     def virial_field(self, u: np.ndarray) -> np.ndarray:
         """u dV/du, the potential part of the first commutator."""
         return np.asarray(u) * self.derivative(u)
-
-    def double_virial_field(self, u: np.ndarray) -> np.ndarray:
-        """u d/du (u dV/du) = u V' + u^2 V''."""
-        u = np.asarray(u)
-        return u * self.derivative(u) + u ** 2 * self.second_derivative(u)
 
 
 def zero_potential() -> PotentialSpec:

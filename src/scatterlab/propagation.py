@@ -4,12 +4,12 @@ Both split factors are exact complex phases on the lattice, so each step is
 unitary to roundoff; accuracy in dt is second order.  The step is
 :class:`~scatterlab.operators._Stepper` with z = i dt, or z = -i dt for a
 backward march.  The dynamical experiments (local decay, minimal velocity,
-channel cutoffs, approximate wave operators, completeness defect) are
-compositions of evolution, spectral filtering, and smoothed position cutoffs.
-Every run samples at the whole step marks of one :class:`Schedule` and steps
-through one loop, :func:`_march`; the channel experiments share one
-construction, :func:`_filtered_forward` (one filter, one march under H) and
-:func:`_cut_and_back` (one cut, one march under H_a).
+channel cutoffs, completeness defect) are compositions of evolution, spectral
+filtering, and smoothed position cutoffs.  Every run samples at the whole step
+marks of one :class:`Schedule` and steps through one loop, :func:`_march`; the
+channel decomposition is built from :func:`_filtered_forward` (one filter, one
+march under H) and :func:`_cut_and_back` (one cut, one march under H_a per
+channel).
 """
 
 from __future__ import annotations
@@ -438,59 +438,6 @@ def _cut_and_back(a: ClusterId, mark: int, state: np.ndarray, psi: WaveFunction,
     return states
 
 
-def _approximants(a, psi0, model, window, cutoffs, schedule: Schedule, table, filter_ripple,
-                  filter_transition, boundary_limit) -> list[WaveFunction]:
-    """phi_a(t) at each time of ``schedule``, or the vanished filtered state."""
-    require_two_cluster(a)
-    psi, forward = _filtered_forward(psi0, model, window, schedule, table, filter_ripple,
-                                     filter_transition, boundary_limit)
-    if forward is None:
-        return [psi] * len(schedule.marks)
-    return [WaveFunction(psi.grid, _cut_and_back(a, m, forward[m], psi, model, cutoffs,
-                                                 schedule.dt, [0], boundary_limit)[0])
-            for m in schedule.marks]
-
-
-def wave_operator_approx(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel,
-                         window, cutoffs: CutoffSpec, t: float, dt: float,
-                         table: ThresholdTable, filter_ripple: float = 1e-6,
-                         filter_transition: float = 0.1,
-                         boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> WaveFunction:
-    """Channel-a approximant: filter, evolve to t under H, cut, evolve back under H_a.
-
-    Realizes e^{+i H_a t} F_a e^{-i H t} E_window(H) psi0 at one time, with
-    F_a the channel cutoff on the internal coordinate of ``a``: the path of
-    :func:`wave_operator_cauchy` on the schedule ``[t]``.  The window must
-    be negative and hold no threshold of ``table``.  An empty window
-    returns the ripple-level filtered state unevolved.
-    """
-    return _approximants(a, psi0, model, window, cutoffs, Schedule.channel([t], dt), table,
-                         filter_ripple, filter_transition, boundary_limit)[0]
-
-
-def wave_operator_cauchy(a: ClusterId, psi0: WaveFunction, model: ThreeBodyModel,
-                         window, cutoffs: CutoffSpec, schedule, dt: float,
-                         table: ThresholdTable, filter_transition: float = 0.1,
-                         boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> TraceSeries:
-    """Stabilization of the channel approximants along a time schedule.
-
-    Reports ||phi_a(t_{j+1}) - phi_a(t_j)|| for consecutive schedule times;
-    decreasing differences are the numerical footprint of the existence of
-    the channel wave operators.  One filter (ripple 1e-6) and one forward
-    march serve every time; each phi_a(t) is bit for bit
-    :func:`wave_operator_approx` at t, with the same window checks.
-    """
-    schedule = Schedule.channel(schedule, dt)
-    if len(schedule.marks) < 2:
-        raise HypothesisError("the stabilization trace needs at least two times")
-    phis = _approximants(a, psi0, model, window, cutoffs, schedule, table, 1e-6,
-                         filter_transition, boundary_limit)
-    diffs = [(q - p).norm() for p, q in zip(phis, phis[1:])]
-    return TraceSeries(np.array(schedule.times[1:]), np.array(diffs),
-                       "wave_operator_stabilization",
-                       metadata={"cluster": str(a), "window": tuple(window), "dt": dt})
-
-
 def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
                         cutoffs: CutoffSpec, schedule, dt: float,
                         table: ThresholdTable, deflate_eigenvectors=(),
@@ -498,8 +445,8 @@ def completeness_defect(psi0: WaveFunction, model: ThreeBodyModel, window,
                         boundary_limit: float = DEFAULT_BOUNDARY_LIMIT) -> TraceSeries:
     """Defect || e^{-itH} psi - sum_a e^{-itH_a} phi_a || along a time schedule.
 
-    The channel states phi_a come from the approximate wave operators at the
-    largest scheduled time (the best approximants), then evolve freely in
+    The channel states phi_a = e^{itH_a} F_a(t) e^{-itH} psi are cut at the
+    largest scheduled time t (the best approximants), then evolve freely in
     their channels.  ``deflate_eigenvectors`` removes bound-state components
     from the filtered initial state first.  The window must be negative and
     hold no threshold of ``table``.

@@ -601,15 +601,24 @@ _CHANNELS, _EVOLVE = ((SHIPPED / f"{name}.ini").read_text() for name in ("channe
      "[schedule] boundary_limit must lie in (0, 1], got -0.0001"),
     ("channels", _with(_CHANNELS, "boundary_limit = 1e-3", "boundary_limit = 2"),
      "[schedule] boundary_limit must lie in (0, 1], got 2.0"),
+    ("mourre", _with(MOURRE_INI, "boundary_tol = 0.5", "boundary_tol = nan"),
+     "[window] boundary_tol must lie in (0, 1], got nan"),
+    ("channels", _with(_CHANNELS, "lo = -0.7\nhi = -0.4", "lo = -0.4\nhi = -0.7"),
+     "[window] (lo, hi) = (-0.4, -0.7) must be finite with lo < hi"),
+    ("mourre", _with(MOURRE_INI, "energy = -0.3", "energy = -0.5"),
+     "[window] energy = -0.5 must lie inside (-0.45, -0.15)"),
+    ("partition", PARTITION_INI + "\n[partition]\nwidth = 0.5\n",
+     "[partition] smoothing width must lie in (0, 0.01667)"),
 ], ids=["channels-off-dt", "channels-repeated", "channels-early", "evolve-off-dt",
         "local-decay-off-dt", "min-velocity-off-dt", "spectrum-count-0", "spectrum-count-300",
         "mourre-samples-0", "min-velocity-delta", "local-decay-mu", "local-decay-half-off-sample",
         "local-decay-nan-limit", "evolve-zero-limit", "min-velocity-negative-limit",
-        "channels-limit-above-one"])
+        "channels-limit-above-one", "mourre-nan-boundary-tol", "channels-empty-window",
+        "mourre-energy-outside-window", "partition-width"])
 def test_out_of_range_value_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch,
                                                                name, text, message):
     # each exited 1, the dynamical ones after the threshold solves and some
-    # after the filter or a march
+    # after the filter or a march; a NaN boundary_tol switched the mourre guard off
     for solver in ("threshold_table", "dense_spectrum", "iterative_lowest", "evolve"):
         monkeypatch.setattr(cli, solver, _refuse)
     cfg = _write(tmp_path, text)

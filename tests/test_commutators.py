@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
+from scatterlab import commutators
 from scatterlab.clusters import ClusterId, TWO_CLUSTERS
 from scatterlab.commutators import (
     analytic_commutator_apply,
     apply_dilation,
+    check_boundary_concentration,
     commutator_form,
     continuum_edge,
     mourre_report,
-    second_commutator_form,
     sqrt_lemma_eval,
 )
 from scatterlab.errors import (
     BoundaryConcentrationError,
     ClusterError,
+    GridError,
     HypothesisError,
     QuadratureError,
     SpectralWindowError,
@@ -58,6 +60,34 @@ def test_dilation_boundary_precondition():
     with pytest.raises(BoundaryConcentrationError):
         apply_dilation(psi)
     apply_dilation(psi, boundary_tol=1.0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("filtered or solved before the tolerance was checked")
+
+
+@pytest.mark.parametrize("tol", [np.nan, 2.0, 0.0], ids=["nan", "above-one", "zero"])
+@pytest.mark.parametrize("caller", ["check_boundary_concentration", "apply_dilation",
+                                    "commutator_form", "mourre_report"])
+def test_every_boundary_tol_caller_rejects_a_tolerance_outside_the_unit_interval(
+        monkeypatch, caller, tol):
+    # the guard raises when mass > tol, so a NaN tolerance or one >= 1 switched
+    # it off: this packet carries 0.72 of its mass outside 0.8 L and passed
+    monkeypatch.setattr(commutators, "spectral_filter", _refuse)
+    monkeypatch.setattr(commutators, "localized_eigenvectors", _refuse)
+    psi = gaussian_packet(make_grid(1, 128, 8.0), 6.9, 0.0, 1.0)
+    table = ThresholdTable({a: np.array([]) for a in TWO_CLUSTERS})
+    calls = {
+        "check_boundary_concentration": lambda: check_boundary_concentration(psi, tol),
+        "apply_dilation": lambda: apply_dilation(psi, boundary_tol=tol),
+        "commutator_form": lambda: commutator_form(
+            psi, HamiltonianSpec(quadratic_symbol(1.0), ()), boundary_tol=tol),
+        "mourre_report": lambda: mourre_report(1.0, (0.9, 1.1), free_model(),
+                                               make_grid(2, 32, 8.0), table, samples=1,
+                                               boundary_tol=tol),
+    }
+    with pytest.raises(GridError, match=r"boundary_tol must lie in \(0, 1\]"):
+        calls[caller]()
 
 
 def test_free_commutator_form_value():
@@ -126,45 +156,6 @@ def test_commutator_formula_outside_its_grid_is_rejected(particles, cluster):
     psi = gaussian_packet(make_grid(particles, 32, 8.0), 0.0, (0.0,) * particles, 1.0)
     with pytest.raises(ClusterError):
         analytic_commutator_apply(psi, cluster, default_model(), 0.3)
-
-
-def test_second_commutator_free_positive():
-    grid = make_grid(1, 256, 32.0)
-    rng = np.random.default_rng(6)
-    psi = admissible_random_state(grid, rng, (1.8,))
-    val = second_commutator_form(psi, ClusterId.PHOTON_FREE, free_model())
-    assert val >= 0.0
-
-
-@pytest.mark.parametrize("a", TWO_CLUSTERS)
-def test_second_commutator_nested_path(a):
-    # V23 acts on u as V23(2u), which 256 points under-resolve (gap 3e-6);
-    # 512 points sample it as criterion 6 does
-    grid = make_grid(1, 512 if a is ClusterId.PAIR_FREE else 256, 32.0)
-    rng = np.random.default_rng(7)
-    model = default_model()
-    psi = admissible_random_state(grid, rng, (2.0,))
-    direct = second_commutator_form(psi, a, model)
-    cpsi = analytic_commutator_apply(psi, a, model)
-    nested = -2.0 * cpsi.inner(apply_dilation(psi)).imag
-    scale = max(1.0, abs(direct))
-    assert abs(direct - nested) <= 1e-6 * scale
-
-
-def test_second_commutator_relative_bound_scan():
-    # empirical relative bound: |<C>| <= const <(p^2 + 1)> over a random suite
-    grid = make_grid(1, 256, 32.0)
-    rng = np.random.default_rng(8)
-    model = default_model()
-    worst = 0.0
-    for _ in range(20):
-        psi = admissible_random_state(grid, rng, (rng.uniform(1.0, 2.5),))
-        val = abs(second_commutator_form(psi, ClusterId.PHOTON_FREE, model))
-        k = grid.momenta()
-        hat = np.fft.fftn(psi.values, norm="ortho")
-        denom = float(np.sum((k ** 2 + 1.0) * np.abs(hat) ** 2) * grid.measure)
-        worst = max(worst, val / denom)
-    assert worst < 10.0
 
 
 def test_sqrt_lemma_values():

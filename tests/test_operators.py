@@ -136,8 +136,6 @@ def test_potential_closed_form_derivatives():
     for pot in (poschl_teller(2.0, 1.3, 0.2), gaussian_well(1.5, 0.9, -0.4)):
         fd = (pot.value(u + h) - pot.value(u - h)) / (2 * h)
         assert np.max(np.abs(fd - pot.derivative(u))) < 1e-7
-        fd2 = (pot.derivative(u + h) - pot.derivative(u - h)) / (2 * h)
-        assert np.max(np.abs(fd2 - pot.second_derivative(u))) < 1e-6
 
 
 def test_boundary_decay_guard():

@@ -40,8 +40,6 @@ from scatterlab.propagation import (
     local_decay_trace,
     minimal_velocity_trace,
     shrinking_region_field,
-    wave_operator_approx,
-    wave_operator_cauchy,
 )
 from scatterlab.spectral import ThresholdTable, threshold_table
 
@@ -183,16 +181,6 @@ def test_minimal_velocity_requires_hypothesis():
                                table=free_threshold_table())
 
 
-def test_wave_operator_empty_window_free_case():
-    grid = make_grid(2, 128, 32.0)
-    psi = gaussian_packet(grid, 0.0, (0.5, 0.5), 3.0)
-    cut = CutoffSpec(delta=0.2, eps=0.05)
-    phi = wave_operator_approx(ClusterId.PHOTON_FREE, psi, free_model(), (-0.8, -0.4),
-                               cut, t=2.0, dt=0.05, table=free_threshold_table(),
-                               filter_ripple=1e-9)
-    assert phi.norm() <= 1e-7
-
-
 def test_completeness_defect_norm_bound():
     # triangle sanity: defect never exceeds ||psi|| (1 + number of channels);
     # the box must hold the filter kernel (extent ~ 1/transition width)
@@ -208,14 +196,13 @@ def test_completeness_defect_norm_bound():
     assert np.all(series.values <= 4.0 * max(series.metadata["filtered_norm"], 1e-30))
 
 
-def test_wave_operator_requires_negative_window():
+def test_channel_construction_requires_negative_window():
     grid = make_grid(2, 64, 16.0)
     psi = gaussian_packet(grid, 0.0, (0.5, 0.5), 2.0)
     cut = CutoffSpec(delta=0.2, eps=0.05)
-    from scatterlab.errors import SpectralWindowError
-    with pytest.raises(SpectralWindowError):
-        wave_operator_approx(ClusterId.PHOTON_FREE, psi, free_model(), (0.5, 1.5),
-                             cut, t=2.0, dt=0.05, table=free_threshold_table())
+    with pytest.raises(SpectralWindowError, match="runs at negative energies"):
+        completeness_defect(psi, free_model(), (0.5, 1.5), cut, (2.0,), dt=0.05,
+                            table=free_threshold_table())
 
 
 def test_local_decay_window_preconditions():
@@ -235,52 +222,12 @@ def test_local_decay_window_preconditions():
                           known_eigenvalues=(0.5,))
 
 
-def test_wave_operator_stabilization_trace():
-    # the photon-escape approximants settle down along a dyadic schedule
-    from scatterlab.propagation import wave_operator_cauchy
-    from scatterlab.experiments import dynamics_model, bound_ground_1d, product_state
-    from scatterlab.spectral import threshold_table
-
-    model = dynamics_model()
-    table = threshold_table(model, make_grid(1, 256, 32.0))
-    grid = make_grid(2, 256, 64.0)
-    _, _, xg = bound_ground_1d(model, ClusterId.PHOTON_FREE, 256, 64.0)
-    yp = gaussian_packet(make_grid(1, 256, 64.0), 4.0, 0.5, 5.0)
-    psi0 = product_state(grid, xg.values, yp.values)
-    series = wave_operator_cauchy(ClusterId.PHOTON_FREE, psi0, model, (-0.7, -0.4),
-                                  CutoffSpec(delta=0.12, eps=0.02), (2.0, 4.0, 8.0, 16.0),
-                                  dt=0.05, table=table, filter_transition=0.25,
-                                  boundary_limit=1e-3)
-    assert np.all(np.diff(series.values) < 0)
-
-
-def test_one_forward_march_equals_one_march_per_time():
-    # the trace filters and marches once; each approximant marches from t = 0 alone
-    from scatterlab.propagation import wave_operator_cauchy
-    from scatterlab.experiments import dynamics_model, bound_ground_1d, product_state
-
-    model = dynamics_model()
-    table = threshold_table(model, make_grid(1, 256, 32.0))
-    grid = make_grid(2, 128, 48.0)
-    _, _, xg = bound_ground_1d(model, ClusterId.PHOTON_FREE, 128, 48.0)
-    yp = gaussian_packet(make_grid(1, 128, 48.0), 4.0, 0.5, 4.0)
-    psi0 = product_state(grid, xg.values, yp.values)
-    args = (ClusterId.PHOTON_FREE, psi0, model, (-0.7, -0.4), CutoffSpec(delta=0.12, eps=0.02))
-    kwargs = dict(dt=0.05, table=table, filter_transition=0.25, boundary_limit=1e-3)
-    schedule = (2.0, 3.0, 4.0)
-    series = wave_operator_cauchy(*args, schedule, **kwargs)
-    phis = [wave_operator_approx(*args, t=t, **kwargs) for t in schedule]
-    assert phis[0].norm() > 0.1
-    assert np.array_equal(series.values, [(phis[j + 1] - phis[j]).norm() for j in range(2)])
-
-
 def _refuse(*args, **kwargs):
     raise AssertionError("filtered or stepped before the arguments were checked")
 
 
 @pytest.mark.parametrize("caller", ["mourre_report", "local_decay_trace",
-                                    "minimal_velocity_trace", "wave_operator_approx",
-                                    "wave_operator_cauchy", "completeness_defect"])
+                                    "minimal_velocity_trace", "completeness_defect"])
 def test_every_window_caller_rejects_a_threshold(monkeypatch, caller):
     monkeypatch.setattr(_Stepper, "step", _refuse)
     monkeypatch.setattr(propagation, "spectral_filter", _refuse)
@@ -298,11 +245,6 @@ def test_every_window_caller_rejects_a_threshold(monkeypatch, caller):
                                                        dt=0.05, table=table),
         "minimal_velocity_trace": lambda: minimal_velocity_trace(
             psi2, model.full(), window, cut, T=2.0, dt=0.05, table=table),
-        "wave_operator_approx": lambda: wave_operator_approx(
-            ClusterId.PHOTON_FREE, psi2, model, window, cut, t=2.0, dt=0.05, table=table),
-        "wave_operator_cauchy": lambda: wave_operator_cauchy(
-            ClusterId.PHOTON_FREE, psi2, model, window, cut, (2.0, 4.0), dt=0.05,
-            table=table),
         "completeness_defect": lambda: completeness_defect(
             psi2, model, window, cut, (2.0, 4.0), dt=0.05, table=table),
     }
@@ -357,19 +299,12 @@ def _time_callers(dt=0.05, T=2.0, schedule=(2.0, 4.0), limit=DEFAULT_BOUNDARY_LI
         "completeness_defect": lambda: completeness_defect(psi2, model, window, cut, schedule,
                                                            dt=dt, table=table,
                                                            boundary_limit=limit),
-        "wave_operator_approx": lambda: wave_operator_approx(
-            ClusterId.PHOTON_FREE, psi2, model, window, cut, t=schedule[-1], dt=dt,
-            table=table, boundary_limit=limit),
-        "wave_operator_cauchy": lambda: wave_operator_cauchy(
-            ClusterId.PHOTON_FREE, psi2, model, window, cut, schedule, dt=dt, table=table,
-            boundary_limit=limit),
     }
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.05, np.nan], ids=["zero", "negative", "nan"])
 @pytest.mark.parametrize("caller", ["evolve", "local_decay_trace", "minimal_velocity_trace",
-                                    "completeness_defect", "wave_operator_approx",
-                                    "wave_operator_cauchy"])
+                                    "completeness_defect"])
 def test_every_stepping_caller_rejects_a_bad_time_step(monkeypatch, caller, dt):
     # a negative dt would march backward, zero divides and NaN never ends a block
     monkeypatch.setattr(_Stepper, "step", _refuse)
@@ -397,8 +332,7 @@ def test_every_horizon_caller_rejects_a_bad_horizon(monkeypatch, caller, T):
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
-@pytest.mark.parametrize("caller", ["completeness_defect", "wave_operator_approx",
-                                    "wave_operator_cauchy"])
+@pytest.mark.parametrize("caller", ["completeness_defect"])
 def test_every_schedule_caller_rejects_a_time_that_is_not_finite(monkeypatch, caller, bad):
     monkeypatch.setattr(_Stepper, "step", _refuse)
     monkeypatch.setattr(propagation, "spectral_filter", _refuse)
@@ -409,12 +343,8 @@ def test_every_schedule_caller_rejects_a_time_that_is_not_finite(monkeypatch, ca
 @pytest.mark.parametrize("caller, times, error, match", [
     ("local_decay_trace", {"T": 2.01}, GridError, "not a multiple of dt"),
     ("completeness_defect", {"schedule": (2.0, 4.01)}, GridError, "not a multiple of dt"),
-    ("wave_operator_approx", {"schedule": (2.01,)}, GridError, "not a multiple of dt"),
-    ("wave_operator_cauchy", {"schedule": (2.0, 4.01)}, GridError, "not a multiple of dt"),
-    ("wave_operator_approx", {"schedule": (0.5,)}, HypothesisError, "must be >= 1"),
-    ("wave_operator_cauchy", {"schedule": (0.5, 2.0)}, HypothesisError, "must be >= 1"),
+    ("completeness_defect", {"schedule": (0.5, 2.0)}, HypothesisError, "must be >= 1"),
     ("completeness_defect", {"schedule": (2.0, 2.0, 4.0)}, GridError, "strictly increasing"),
-    ("wave_operator_cauchy", {"schedule": (2.0, 2.0, 4.0)}, GridError, "strictly increasing"),
     ("local_decay_trace", {"T": 0.0}, GridError, "T/2 = 0.0 is no sample time"),
     ("local_decay_trace", {"T": 0.25}, GridError, "T/2 = 0.125 is no sample time"),
     ("local_decay_trace", {"T": 1.1}, GridError, "T/2 = 0.55 is no sample time"),
@@ -422,16 +352,13 @@ def test_every_schedule_caller_rejects_a_time_that_is_not_finite(monkeypatch, ca
     ("local_decay_trace", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
     ("minimal_velocity_trace", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
     ("completeness_defect", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
-    ("wave_operator_approx", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
-    ("wave_operator_cauchy", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
     ("evolve", {"limit": 0.0}, GridError, "boundary_limit must lie in"),
     ("local_decay_trace", {"limit": -1e-6}, GridError, "boundary_limit must lie in"),
     ("completeness_defect", {"limit": 1.5}, GridError, "boundary_limit must lie in"),
-], ids=["local-decay-off-dt", "completeness-off-dt", "approx-off-dt", "cauchy-off-dt",
-        "approx-early", "cauchy-early", "completeness-repeated", "cauchy-repeated",
-        "local-decay-T0", "local-decay-half-off-sample", "local-decay-half-between-samples",
-        "evolve-nan-limit", "local-decay-nan-limit", "min-velocity-nan-limit",
-        "completeness-nan-limit", "approx-nan-limit", "cauchy-nan-limit", "evolve-zero-limit",
+], ids=["local-decay-off-dt", "completeness-off-dt", "completeness-early",
+        "completeness-repeated", "local-decay-T0", "local-decay-half-off-sample",
+        "local-decay-half-between-samples", "evolve-nan-limit", "local-decay-nan-limit",
+        "min-velocity-nan-limit", "completeness-nan-limit", "evolve-zero-limit",
         "local-decay-negative-limit", "completeness-limit-above-one"])
 def test_every_time_argument_is_checked_before_the_filter(monkeypatch, caller, times, error,
                                                           match):
@@ -502,7 +429,7 @@ def test_a_sample_interval_shorter_than_dt_fails_at_once():
 
 def test_every_stepping_caller_takes_the_steps_its_schedule_names(monkeypatch):
     # the forward march runs to the last mark; each channel back-march runs from
-    # its cut time to 0 (approximants) or back through the schedule (defect)
+    # its cut time back through the schedule
     steps, step = [], _Stepper.step
 
     def counted(self, values):
@@ -517,12 +444,9 @@ def test_every_stepping_caller_takes_the_steps_its_schedule_names(monkeypatch):
         "local_decay_trace": propagation.decay_schedule(T, dt).marks[-1],
         "minimal_velocity_trace": Schedule.velocity(T, 1.0, dt).marks[-1],
         "completeness_defect": channel[-1] + len(TWO_CLUSTERS) * (channel[-1] - channel[0]),
-        "wave_operator_approx": 2 * channel[-1],
-        "wave_operator_cauchy": channel[-1] + sum(channel),
     }
     assert expected == {"evolve": 40, "local_decay_trace": 40, "minimal_velocity_trace": 40,
-                        "completeness_defect": 200, "wave_operator_approx": 160,
-                        "wave_operator_cauchy": 200}
+                        "completeness_defect": 200}
     for caller, run in _time_callers(dt=dt, T=T, schedule=times, limit=1.0).items():
         steps.clear()
         run()
