@@ -18,7 +18,7 @@ from scatterlab.errors import (
     SpectralWindowError,
 )
 from scatterlab.experiments import free_threshold_table
-from scatterlab.lattice import gaussian_packet, make_grid
+from scatterlab.lattice import WaveFunction, gaussian_packet, make_grid
 from scatterlab.model import default_model, free_model
 from scatterlab.operators import (
     HamiltonianSpec,
@@ -181,6 +181,39 @@ def test_minimal_velocity_requires_hypothesis():
                                table=free_threshold_table())
 
 
+def _approximants(a, psi0, model, window, cutoffs, times, dt, table, filter_ripple=1e-6,
+                  filter_transition=0.1, boundary_limit=DEFAULT_BOUNDARY_LIMIT):
+    """Channel approximants phi_a(t) = e^{itH_a} F_a(t) e^{-itH} E_window(H) psi0 at
+    each of ``times``, from the channel construction completeness_defect runs: its
+    checks, one filter and one forward march, then a back-march to t = 0 from each
+    cut.  An empty window gives the ripple-level filtered state unevolved."""
+    schedule = Schedule.channel(times, dt)
+    psi, forward = propagation._filtered_forward(psi0, model, window, schedule, table,
+                                                 filter_ripple, filter_transition,
+                                                 boundary_limit)
+    if forward is None:
+        return [psi] * len(schedule.marks)
+    return [WaveFunction(psi.grid, propagation._cut_and_back(
+                a, m, forward[m], psi, model, cutoffs, dt, [0], boundary_limit)[0])
+            for m in schedule.marks]
+
+
+def _stabilization(*args, **kwargs):
+    """||phi_a(t_{j+1}) - phi_a(t_j)|| along the schedule: differences that
+    decrease are the numerical footprint of the channel wave operator's existence."""
+    phis = _approximants(*args, **kwargs)
+    return np.array([(q - p).norm() for p, q in zip(phis, phis[1:])])
+
+
+def test_wave_operator_empty_window_free_case():
+    grid = make_grid(2, 128, 32.0)
+    psi = gaussian_packet(grid, 0.0, (0.5, 0.5), 3.0)
+    cut = CutoffSpec(delta=0.2, eps=0.05)
+    phi = _approximants(ClusterId.PHOTON_FREE, psi, free_model(), (-0.8, -0.4), cut, (2.0,),
+                        dt=0.05, table=free_threshold_table(), filter_ripple=1e-9)[0]
+    assert phi.norm() <= 1e-7
+
+
 def test_completeness_defect_norm_bound():
     # triangle sanity: defect never exceeds ||psi|| (1 + number of channels);
     # the box must hold the filter kernel (extent ~ 1/transition width)
@@ -196,7 +229,7 @@ def test_completeness_defect_norm_bound():
     assert np.all(series.values <= 4.0 * max(series.metadata["filtered_norm"], 1e-30))
 
 
-def test_channel_construction_requires_negative_window():
+def test_wave_operator_requires_negative_window():
     grid = make_grid(2, 64, 16.0)
     psi = gaussian_packet(grid, 0.0, (0.5, 0.5), 2.0)
     cut = CutoffSpec(delta=0.2, eps=0.05)
@@ -222,12 +255,49 @@ def test_local_decay_window_preconditions():
                           known_eigenvalues=(0.5,))
 
 
+def test_wave_operator_stabilization_trace():
+    # the photon-escape approximants settle down along a dyadic schedule
+    from scatterlab.experiments import dynamics_model, bound_ground_1d, product_state
+
+    model = dynamics_model()
+    table = threshold_table(model, make_grid(1, 256, 32.0))
+    grid = make_grid(2, 256, 64.0)
+    _, _, xg = bound_ground_1d(model, ClusterId.PHOTON_FREE, 256, 64.0)
+    yp = gaussian_packet(make_grid(1, 256, 64.0), 4.0, 0.5, 5.0)
+    psi0 = product_state(grid, xg.values, yp.values)
+    series = _stabilization(ClusterId.PHOTON_FREE, psi0, model, (-0.7, -0.4),
+                            CutoffSpec(delta=0.12, eps=0.02), (2.0, 4.0, 8.0, 16.0),
+                            dt=0.05, table=table, filter_transition=0.25,
+                            boundary_limit=1e-3)
+    assert np.all(np.diff(series) < 0)
+
+
+def test_one_forward_march_equals_one_march_per_time():
+    # the trace filters and marches once; each approximant marches from t = 0 alone
+    from scatterlab.experiments import dynamics_model, bound_ground_1d, product_state
+
+    model = dynamics_model()
+    table = threshold_table(model, make_grid(1, 256, 32.0))
+    grid = make_grid(2, 128, 48.0)
+    _, _, xg = bound_ground_1d(model, ClusterId.PHOTON_FREE, 128, 48.0)
+    yp = gaussian_packet(make_grid(1, 128, 48.0), 4.0, 0.5, 4.0)
+    psi0 = product_state(grid, xg.values, yp.values)
+    args = (ClusterId.PHOTON_FREE, psi0, model, (-0.7, -0.4), CutoffSpec(delta=0.12, eps=0.02))
+    kwargs = dict(dt=0.05, table=table, filter_transition=0.25, boundary_limit=1e-3)
+    schedule = (2.0, 3.0, 4.0)
+    series = _stabilization(*args, schedule, **kwargs)
+    phis = [_approximants(*args, (t,), **kwargs)[0] for t in schedule]
+    assert phis[0].norm() > 0.1
+    assert np.array_equal(series, [(phis[j + 1] - phis[j]).norm() for j in range(2)])
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("filtered or stepped before the arguments were checked")
 
 
 @pytest.mark.parametrize("caller", ["mourre_report", "local_decay_trace",
-                                    "minimal_velocity_trace", "completeness_defect"])
+                                    "minimal_velocity_trace", "wave_operator_approx",
+                                    "wave_operator_cauchy", "completeness_defect"])
 def test_every_window_caller_rejects_a_threshold(monkeypatch, caller):
     monkeypatch.setattr(_Stepper, "step", _refuse)
     monkeypatch.setattr(propagation, "spectral_filter", _refuse)
@@ -245,6 +315,11 @@ def test_every_window_caller_rejects_a_threshold(monkeypatch, caller):
                                                        dt=0.05, table=table),
         "minimal_velocity_trace": lambda: minimal_velocity_trace(
             psi2, model.full(), window, cut, T=2.0, dt=0.05, table=table),
+        "wave_operator_approx": lambda: _approximants(
+            ClusterId.PHOTON_FREE, psi2, model, window, cut, (2.0,), dt=0.05, table=table),
+        "wave_operator_cauchy": lambda: _stabilization(
+            ClusterId.PHOTON_FREE, psi2, model, window, cut, (2.0, 4.0), dt=0.05,
+            table=table),
         "completeness_defect": lambda: completeness_defect(
             psi2, model, window, cut, (2.0, 4.0), dt=0.05, table=table),
     }
@@ -283,7 +358,8 @@ def test_every_stepping_caller_stops_at_the_boundary(caller):
 
 def _time_callers(dt=0.05, T=2.0, schedule=(2.0, 4.0), limit=DEFAULT_BOUNDARY_LIMIT):
     """Every stepping entry point on a small grid, each on a window its table
-    clears, so that a bad time argument or boundary limit is the call's one fault."""
+    clears, so that a bad time argument or boundary limit is the call's one fault.
+    The wave-operator entries run the channel construction one cut at a time."""
     h = HamiltonianSpec(quadratic_symbol(1.0), ((poschl_teller(2.0, 1.0), "internal"),))
     psi1 = gaussian_packet(make_grid(1, 64, 16.0), 0.0, 0.5, 2.0)
     psi2 = gaussian_packet(make_grid(2, 32, 16.0), 0.0, (0.5, 0.5), 2.0)
@@ -299,12 +375,19 @@ def _time_callers(dt=0.05, T=2.0, schedule=(2.0, 4.0), limit=DEFAULT_BOUNDARY_LI
         "completeness_defect": lambda: completeness_defect(psi2, model, window, cut, schedule,
                                                            dt=dt, table=table,
                                                            boundary_limit=limit),
+        "wave_operator_approx": lambda: _approximants(
+            ClusterId.PHOTON_FREE, psi2, model, window, cut, schedule[-1:], dt=dt,
+            table=table, boundary_limit=limit),
+        "wave_operator_cauchy": lambda: _stabilization(
+            ClusterId.PHOTON_FREE, psi2, model, window, cut, schedule, dt=dt, table=table,
+            boundary_limit=limit),
     }
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.05, np.nan], ids=["zero", "negative", "nan"])
 @pytest.mark.parametrize("caller", ["evolve", "local_decay_trace", "minimal_velocity_trace",
-                                    "completeness_defect"])
+                                    "completeness_defect", "wave_operator_approx",
+                                    "wave_operator_cauchy"])
 def test_every_stepping_caller_rejects_a_bad_time_step(monkeypatch, caller, dt):
     # a negative dt would march backward, zero divides and NaN never ends a block
     monkeypatch.setattr(_Stepper, "step", _refuse)
@@ -332,7 +415,8 @@ def test_every_horizon_caller_rejects_a_bad_horizon(monkeypatch, caller, T):
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
-@pytest.mark.parametrize("caller", ["completeness_defect"])
+@pytest.mark.parametrize("caller", ["completeness_defect", "wave_operator_approx",
+                                    "wave_operator_cauchy"])
 def test_every_schedule_caller_rejects_a_time_that_is_not_finite(monkeypatch, caller, bad):
     monkeypatch.setattr(_Stepper, "step", _refuse)
     monkeypatch.setattr(propagation, "spectral_filter", _refuse)
@@ -343,8 +427,13 @@ def test_every_schedule_caller_rejects_a_time_that_is_not_finite(monkeypatch, ca
 @pytest.mark.parametrize("caller, times, error, match", [
     ("local_decay_trace", {"T": 2.01}, GridError, "not a multiple of dt"),
     ("completeness_defect", {"schedule": (2.0, 4.01)}, GridError, "not a multiple of dt"),
+    ("wave_operator_approx", {"schedule": (2.01,)}, GridError, "not a multiple of dt"),
+    ("wave_operator_cauchy", {"schedule": (2.0, 4.01)}, GridError, "not a multiple of dt"),
     ("completeness_defect", {"schedule": (0.5, 2.0)}, HypothesisError, "must be >= 1"),
+    ("wave_operator_approx", {"schedule": (0.5,)}, HypothesisError, "must be >= 1"),
+    ("wave_operator_cauchy", {"schedule": (0.5, 2.0)}, HypothesisError, "must be >= 1"),
     ("completeness_defect", {"schedule": (2.0, 2.0, 4.0)}, GridError, "strictly increasing"),
+    ("wave_operator_cauchy", {"schedule": (2.0, 2.0, 4.0)}, GridError, "strictly increasing"),
     ("local_decay_trace", {"T": 0.0}, GridError, "T/2 = 0.0 is no sample time"),
     ("local_decay_trace", {"T": 0.25}, GridError, "T/2 = 0.125 is no sample time"),
     ("local_decay_trace", {"T": 1.1}, GridError, "T/2 = 0.55 is no sample time"),
@@ -352,14 +441,18 @@ def test_every_schedule_caller_rejects_a_time_that_is_not_finite(monkeypatch, ca
     ("local_decay_trace", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
     ("minimal_velocity_trace", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
     ("completeness_defect", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
+    ("wave_operator_approx", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
+    ("wave_operator_cauchy", {"limit": np.nan}, GridError, "boundary_limit must lie in"),
     ("evolve", {"limit": 0.0}, GridError, "boundary_limit must lie in"),
     ("local_decay_trace", {"limit": -1e-6}, GridError, "boundary_limit must lie in"),
     ("completeness_defect", {"limit": 1.5}, GridError, "boundary_limit must lie in"),
-], ids=["local-decay-off-dt", "completeness-off-dt", "completeness-early",
-        "completeness-repeated", "local-decay-T0", "local-decay-half-off-sample",
+], ids=["local-decay-off-dt", "completeness-off-dt", "approx-off-dt", "cauchy-off-dt",
+        "completeness-early", "approx-early", "cauchy-early", "completeness-repeated",
+        "cauchy-repeated", "local-decay-T0", "local-decay-half-off-sample",
         "local-decay-half-between-samples", "evolve-nan-limit", "local-decay-nan-limit",
-        "min-velocity-nan-limit", "completeness-nan-limit", "evolve-zero-limit",
-        "local-decay-negative-limit", "completeness-limit-above-one"])
+        "min-velocity-nan-limit", "completeness-nan-limit", "approx-nan-limit",
+        "cauchy-nan-limit", "evolve-zero-limit", "local-decay-negative-limit",
+        "completeness-limit-above-one"])
 def test_every_time_argument_is_checked_before_the_filter(monkeypatch, caller, times, error,
                                                           match):
     # each of these filtered, and some marched, before the time failed
@@ -429,7 +522,7 @@ def test_a_sample_interval_shorter_than_dt_fails_at_once():
 
 def test_every_stepping_caller_takes_the_steps_its_schedule_names(monkeypatch):
     # the forward march runs to the last mark; each channel back-march runs from
-    # its cut time back through the schedule
+    # its cut time to 0 (approximants) or back through the schedule (defect)
     steps, step = [], _Stepper.step
 
     def counted(self, values):
@@ -444,9 +537,12 @@ def test_every_stepping_caller_takes_the_steps_its_schedule_names(monkeypatch):
         "local_decay_trace": propagation.decay_schedule(T, dt).marks[-1],
         "minimal_velocity_trace": Schedule.velocity(T, 1.0, dt).marks[-1],
         "completeness_defect": channel[-1] + len(TWO_CLUSTERS) * (channel[-1] - channel[0]),
+        "wave_operator_approx": 2 * channel[-1],
+        "wave_operator_cauchy": channel[-1] + sum(channel),
     }
     assert expected == {"evolve": 40, "local_decay_trace": 40, "minimal_velocity_trace": 40,
-                        "completeness_defect": 200}
+                        "completeness_defect": 200, "wave_operator_approx": 160,
+                        "wave_operator_cauchy": 200}
     for caller, run in _time_callers(dt=dt, T=T, schedule=times, limit=1.0).items():
         steps.clear()
         run()
